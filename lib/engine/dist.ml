@@ -5,7 +5,7 @@ type t =
   | Lognormal of { mu : float; sigma : float }
   | Bimodal of { p : float; lo : float; hi : float }
   | Pareto of { shape : float; scale : float }
-  | Mixture of (float * t) list
+  | Mixture of { parts : (float * t) list; total : float }
   | Shifted of float * t
   | Zipf of { cdf : float array; mean_rank : float }
 
@@ -46,7 +46,9 @@ let mixture parts =
   if parts = [] then invalid_arg "Dist.mixture: empty";
   if List.exists (fun (w, _) -> w < 0.) parts then
     invalid_arg "Dist.mixture: negative weight";
-  Mixture parts
+  (* Folded once, here, left to right: the sum every draw scales by. *)
+  Mixture
+    { parts; total = List.fold_left (fun acc (w, _) -> acc +. w) 0. parts }
 
 let shifted off d = Shifted (off, d)
 
@@ -71,41 +73,35 @@ let zipf ~s ~n =
   done;
   Zipf { cdf; mean_rank = !mean_rank }
 
+(* A uniform draw in (0, 1): redraws the measure-zero 0. A loop rather
+   than a local recursive closure, which would allocate on every call. *)
+let[@inline] positive_uniform rng =
+  let u = ref (Rng.float rng) in
+  while !u <= 0. do
+    u := Rng.float rng
+  done;
+  !u
+
 let normal rng =
-  let rec draw () =
-    let u = Rng.float rng in
-    if u <= 0. then draw () else u
-  in
-  let u1 = draw () and u2 = Rng.float rng in
+  let u1 = positive_uniform rng and u2 = Rng.float rng in
   Float.sqrt (-2. *. Float.log u1) *. Float.cos (2. *. Float.pi *. u2)
+
+(* The mixture component whose cumulative-weight interval holds [x]. *)
+let rec pick x acc = function
+  | [] -> assert false
+  | [ (_, d) ] -> d
+  | (w, d) :: rest -> if x < acc +. w then d else pick x (acc +. w) rest
 
 let rec sample d rng =
   match d with
   | Constant x -> x
   | Uniform { lo; hi } -> lo +. ((hi -. lo) *. Rng.float rng)
-  | Exponential { mean } ->
-      let rec draw () =
-        let u = Rng.float rng in
-        if u <= 0. then draw () else u
-      in
-      -.mean *. Float.log (draw ())
+  | Exponential { mean } -> -.mean *. Float.log (positive_uniform rng)
   | Lognormal { mu; sigma } -> Float.exp (mu +. (sigma *. normal rng))
   | Bimodal { p; lo; hi } -> if Rng.float rng < p then hi else lo
   | Pareto { shape; scale } ->
-      let rec draw () =
-        let u = Rng.float rng in
-        if u <= 0. then draw () else u
-      in
-      scale /. Float.pow (draw ()) (1. /. shape)
-  | Mixture parts ->
-      let total = List.fold_left (fun acc (w, _) -> acc +. w) 0. parts in
-      let x = Rng.float rng *. total in
-      let rec pick acc = function
-        | [] -> assert false
-        | [ (_, d) ] -> d
-        | (w, d) :: rest -> if x < acc +. w then d else pick (acc +. w) rest
-      in
-      sample (pick 0. parts) rng
+      scale /. Float.pow (positive_uniform rng) (1. /. shape)
+  | Mixture { parts; total } -> sample (pick (Rng.float rng *. total) 0. parts) rng
   | Shifted (off, d) -> off +. sample d rng
   | Zipf { cdf; _ } ->
       let u = Rng.float rng in
@@ -125,8 +121,7 @@ let rec mean = function
   | Bimodal { p; lo; hi } -> ((1. -. p) *. lo) +. (p *. hi)
   | Pareto { shape; scale } ->
       if shape <= 1. then infinity else shape *. scale /. (shape -. 1.)
-  | Mixture parts ->
-      let total = List.fold_left (fun acc (w, _) -> acc +. w) 0. parts in
+  | Mixture { parts; total } ->
       List.fold_left (fun acc (w, d) -> acc +. (w /. total *. mean d)) 0. parts
   | Shifted (off, d) -> off +. mean d
   | Zipf { mean_rank; _ } -> mean_rank

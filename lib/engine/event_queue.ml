@@ -44,7 +44,9 @@ type handle = int
    [256^k] ns wide, so the wheel spans 2^32 simulated ns from the
    cursor; anything further (or in the past) overflows to the heap.
    Occupancy bitmaps use 32-bit words — 8 per level — because OCaml
-   ints are 63-bit and [1 lsl 63] is unspecified. *)
+   ints are 63-bit and [1 lsl 63] is unspecified. Each level also keeps
+   an 8-bit summary word whose bit [w] is set iff occupancy word [w] is
+   nonzero, so finding the next occupied slot is two ctz, not a walk. *)
 
 let levels = 4
 let slots_per_level = 256
@@ -72,6 +74,7 @@ type 'a t = {
   heads : int array; (* levels * slots: bucket head slab index *)
   tails : int array;
   bits : int array; (* levels * words_per_level 32-bit occupancy words *)
+  summary : int array; (* per level: bit w <-> bits word w nonzero *)
   mutable heap : int array; (* overflow / reference heap of slab indexes *)
   mutable heap_size : int;
 }
@@ -91,6 +94,7 @@ let create ?backend () =
     heads = Array.make (levels * slots_per_level) (-1);
     tails = Array.make (levels * slots_per_level) (-1);
     bits = Array.make (levels * words_per_level) 0;
+    summary = Array.make levels 0;
     heap = [||];
     heap_size = 0;
   }
@@ -112,9 +116,14 @@ let pool_free t =
 (* Hot-path array access. Every index below is structural — free-list
    links, bucket chains, heap slots and the front cache only ever hold
    valid slab indexes — so bounds checks are skipped. The one index that
-   comes from outside ([cancel]'s handle) keeps its explicit check. *)
-let aget = Array.unsafe_get
-let aset = Array.unsafe_set
+   comes from outside ([cancel]'s handle) keeps its explicit check.
+   The primitives are declared at their element types, never aliased
+   polymorphically: a polymorphic [Array.unsafe_set] alias compiles to a
+   generic store that tests for a float array and runs [caml_modify] on
+   every int write. *)
+external iget : int array -> int -> int = "%array_unsafe_get"
+external iset : int array -> int -> int -> unit = "%array_unsafe_set"
+external eget : 'a entry array -> int -> 'a entry = "%array_unsafe_get"
 
 (* ------------------------------------------------------------------ *)
 (* Entry pool *)
@@ -163,29 +172,32 @@ let ctz32 = Bits.ctz32
 
 let set_bit t lvl slot =
   let w = (lvl lsl 3) + (slot lsr 5) in
-  aset t.bits w (aget t.bits w lor (1 lsl (slot land 31)))
+  iset t.bits w (iget t.bits w lor (1 lsl (slot land 31)));
+  iset t.summary lvl (iget t.summary lvl lor (1 lsl (slot lsr 5)))
 
 let clear_bit t lvl slot =
   let w = (lvl lsl 3) + (slot lsr 5) in
-  aset t.bits w (aget t.bits w land lnot (1 lsl (slot land 31)))
+  let m = iget t.bits w land lnot (1 lsl (slot land 31)) in
+  iset t.bits w m;
+  if m = 0 then
+    iset t.summary lvl (iget t.summary lvl land lnot (1 lsl (slot lsr 5)))
 
-(* First occupied slot at index >= start on this level, or -1. *)
+(* First occupied slot at index >= start on this level, or -1: the
+   start word's remaining bits, else the summary's next nonzero word. *)
 let level_next t lvl start =
   if start > 255 then -1
   else begin
     let base = lvl lsl 3 in
     let w0 = start lsr 5 in
-    let m = aget t.bits (base + w0) land ((-1) lsl (start land 31)) in
+    let m = iget t.bits (base + w0) land ((-1) lsl (start land 31)) in
     if m <> 0 then (w0 lsl 5) lor ctz32 m
     else begin
-      let found = ref (-1) in
-      let w = ref (w0 + 1) in
-      while !found < 0 && !w < words_per_level do
-        let m = aget t.bits (base + !w) in
-        if m <> 0 then found := (!w lsl 5) lor ctz32 m;
-        incr w
-      done;
-      !found
+      let s = iget t.summary lvl land ((-1) lsl (w0 + 1)) in
+      if s = 0 then -1
+      else begin
+        let w = ctz32 s in
+        (w lsl 5) lor ctz32 (iget t.bits (base + w))
+      end
     end
   end
 
@@ -194,32 +206,32 @@ let level_next t lvl start =
 
 let append t lvl slot i =
   let idx = (lvl lsl 8) lor slot in
-  (aget t.slab i).next <- -1;
-  let tail = aget t.tails idx in
+  (eget t.slab i).next <- -1;
+  let tail = iget t.tails idx in
   if tail = -1 then begin
-    aset t.heads idx i;
-    aset t.tails idx i;
+    iset t.heads idx i;
+    iset t.tails idx i;
     set_bit t lvl slot
   end
   else begin
-    (aget t.slab tail).next <- i;
-    aset t.tails idx i
+    (eget t.slab tail).next <- i;
+    iset t.tails idx i
   end
 
 (* ------------------------------------------------------------------ *)
 (* Overflow / reference heap (indexes into the slab) *)
 
 let entry_less t a b =
-  let ea = aget t.slab a and eb = aget t.slab b in
+  let ea = eget t.slab a and eb = eget t.slab b in
   ea.time < eb.time || (ea.time = eb.time && ea.seq < eb.seq)
 
 let rec sift_up t i =
   if i > 0 then begin
     let parent = (i - 1) / 2 in
-    if entry_less t (aget t.heap i) (aget t.heap parent) then begin
-      let tmp = aget t.heap i in
-      aset t.heap i (aget t.heap parent);
-      aset t.heap parent tmp;
+    if entry_less t (iget t.heap i) (iget t.heap parent) then begin
+      let tmp = iget t.heap i in
+      iset t.heap i (iget t.heap parent);
+      iset t.heap parent tmp;
       sift_up t parent
     end
   end
@@ -227,33 +239,33 @@ let rec sift_up t i =
 let rec sift_down t i =
   let l = (2 * i) + 1 and r = (2 * i) + 2 in
   let smallest = ref i in
-  if l < t.heap_size && entry_less t (aget t.heap l) (aget t.heap !smallest)
+  if l < t.heap_size && entry_less t (iget t.heap l) (iget t.heap !smallest)
   then smallest := l;
-  if r < t.heap_size && entry_less t (aget t.heap r) (aget t.heap !smallest)
+  if r < t.heap_size && entry_less t (iget t.heap r) (iget t.heap !smallest)
   then smallest := r;
   if !smallest <> i then begin
-    let tmp = aget t.heap i in
-    aset t.heap i (aget t.heap !smallest);
-    aset t.heap !smallest tmp;
+    let tmp = iget t.heap i in
+    iset t.heap i (iget t.heap !smallest);
+    iset t.heap !smallest tmp;
     sift_down t !smallest
   end
 
 let heap_push t i =
   let cap = Array.length t.heap in
   if t.heap_size = cap then begin
-    let ncap = max 16 (2 * cap) in
+    let ncap = Int.max 16 (2 * cap) in
     let nheap = Array.make ncap 0 in
     Array.blit t.heap 0 nheap 0 t.heap_size;
     t.heap <- nheap
   end;
-  aset t.heap t.heap_size i;
+  iset t.heap t.heap_size i;
   t.heap_size <- t.heap_size + 1;
   sift_up t (t.heap_size - 1)
 
 let heap_remove_root t =
   t.heap_size <- t.heap_size - 1;
   if t.heap_size > 0 then begin
-    aset t.heap 0 (aget t.heap t.heap_size);
+    iset t.heap 0 (iget t.heap t.heap_size);
     sift_down t 0
   end
 
@@ -261,8 +273,8 @@ let heap_remove_root t =
    root (heap) or the head of their bucket (wheel). *)
 let rec heap_clean t =
   if t.heap_size > 0 then begin
-    let i = aget t.heap 0 in
-    let e = aget t.slab i in
+    let i = iget t.heap 0 in
+    let e = eget t.slab i in
     if e.ga land 1 = 0 then begin
       heap_remove_root t;
       free_entry t i e;
@@ -274,7 +286,7 @@ let rec heap_clean t =
 (* Wheel placement and min-finding *)
 
 let place t i =
-  let time = (aget t.slab i).time and cur = t.cur in
+  let time = (eget t.slab i).time and cur = t.cur in
   if time < cur || time lsr 32 <> cur lsr 32 then heap_push t i
   else if time lsr 8 = cur lsr 8 then append t 0 (time land 255) i
   else if time lsr 16 = cur lsr 16 then append t 1 (time lsr 8 land 255) i
@@ -286,7 +298,7 @@ let place t i =
    in its target bucket has a higher seq: the demoted entry must go to
    the bucket HEAD, not the tail, to keep the pop order exact. *)
 let place_front t i =
-  let time = (aget t.slab i).time and cur = t.cur in
+  let time = (eget t.slab i).time and cur = t.cur in
   if time < cur || time lsr 32 <> cur lsr 32 then heap_push t i
   else begin
     let lvl, slot =
@@ -296,11 +308,11 @@ let place_front t i =
       else (3, (time lsr 24) land 255)
     in
     let idx = (lvl lsl 8) lor slot in
-    let head = aget t.heads idx in
-    (aget t.slab i).next <- head;
-    aset t.heads idx i;
+    let head = iget t.heads idx in
+    (eget t.slab i).next <- head;
+    iset t.heads idx i;
     if head = -1 then begin
-      aset t.tails idx i;
+      iset t.tails idx i;
       set_bit t lvl slot
     end
   end
@@ -309,13 +321,13 @@ let place_front t i =
    List order is preserved, so same-time entries keep seq order. *)
 let cascade t lvl slot =
   let idx = (lvl lsl 8) lor slot in
-  let i = ref (aget t.heads idx) in
-  aset t.heads idx (-1);
-  aset t.tails idx (-1);
+  let i = ref (iget t.heads idx) in
+  iset t.heads idx (-1);
+  iset t.tails idx (-1);
   clear_bit t lvl slot;
   let shift = 8 * (lvl - 1) in
   while !i >= 0 do
-    let e = aget t.slab !i in
+    let e = eget t.slab !i in
     let nxt = e.next in
     if e.ga land 1 <> 0 then append t (lvl - 1) (e.time lsr shift land 255) !i
     else free_entry t !i e;
@@ -325,25 +337,37 @@ let cascade t lvl slot =
 (* Drop dead entries off the head of level-0 bucket [s]; head index or
    -1 (bucket emptied, bit cleared). *)
 let rec bucket_head t s =
-  let h = aget t.heads s in
+  let h = iget t.heads s in
   if h = -1 then begin
-    aset t.tails s (-1);
+    iset t.tails s (-1);
     clear_bit t 0 s;
     -1
   end
   else begin
-    let e = aget t.slab h in
+    let e = eget t.slab h in
     if e.ga land 1 <> 0 then h
     else begin
-      aset t.heads s e.next;
+      iset t.heads s e.next;
       free_entry t h e;
       bucket_head t s
     end
   end
 
+let summary_consistent t =
+  let ok = ref true in
+  for lvl = 0 to levels - 1 do
+    for w = 0 to words_per_level - 1 do
+      let word_set = t.bits.((lvl * words_per_level) + w) <> 0 in
+      let bit_set = t.summary.(lvl) land (1 lsl w) <> 0 in
+      if word_set <> bit_set then ok := false
+    done;
+    if t.summary.(lvl) lsr words_per_level <> 0 then ok := false
+  done;
+  !ok
+
 let occupied t lvl slot =
   let w = (lvl lsl 3) + (slot lsr 5) in
-  aget t.bits w land (1 lsl (slot land 31)) <> 0
+  iget t.bits w land (1 lsl (slot land 31)) <> 0
 
 (* Earliest live wheel entry (slab index, or -1), committing cursor
    advances and cascades along the way. Scans start at the cursor's own
@@ -414,7 +438,7 @@ let global_min t =
   match t.backend with
   | Heap ->
       heap_clean t;
-      if t.heap_size = 0 then -1 else aget t.heap 0
+      if t.heap_size = 0 then -1 else iget t.heap 0
   | Wheel ->
       if t.front >= 0 then t.front
       else begin
@@ -422,7 +446,7 @@ let global_min t =
         heap_clean t;
         if t.heap_size = 0 then w
         else begin
-          let h = aget t.heap 0 in
+          let h = iget t.heap 0 in
           if w < 0 then h else if entry_less t h w then h else w
         end
       end
@@ -432,13 +456,13 @@ let global_min t =
    (slab indexes are in exactly one structure at a time). *)
 let consume t i e =
   if i = t.front then t.front <- -1
-  else if t.heap_size > 0 && aget t.heap 0 = i then heap_remove_root t
+  else if t.heap_size > 0 && iget t.heap 0 = i then heap_remove_root t
   else begin
     (* [wheel_scan] left [i] at the head of its level-0 bucket. *)
     let s = e.time land 255 in
-    aset t.heads s e.next;
+    iset t.heads s e.next;
     if e.next = -1 then begin
-      aset t.tails s (-1);
+      iset t.tails s (-1);
       clear_bit t 0 s
     end
   end;
@@ -458,7 +482,7 @@ let[@inline] finish_add t i e time =
   | Heap -> heap_push t i
   | Wheel ->
       if t.live = 0 then t.front <- i
-      else if t.front >= 0 && time < (aget t.slab t.front).time then begin
+      else if t.front >= 0 && time < (eget t.slab t.front).time then begin
         (* The new entry undercuts the cached minimum: demote the old
            front into the wheel (it stays minimal among the rest). At
            equal times the front keeps its place — lower seq. *)
@@ -473,7 +497,7 @@ let[@inline] finish_add t i e time =
 let add t ~time value =
   if t.free = -1 then grow t;
   let i = t.free in
-  let e = aget t.slab i in
+  let e = eget t.slab i in
   t.free <- e.next;
   e.time <- time;
   e.value <- value;
@@ -489,7 +513,7 @@ let add_tagged t ~time ~tag ~a ~b =
     invalid_arg "Event_queue.add_tagged: b out of range (38 bits)";
   if t.free = -1 then grow t;
   let i = t.free in
-  let e = aget t.slab i in
+  let e = eget t.slab i in
   t.free <- e.next;
   e.time <- time;
   (* [value] is left alone (whatever the slot last held): the tagged
@@ -515,13 +539,13 @@ let cancel t h =
 
 let peek_time t =
   let i = global_min t in
-  if i < 0 then None else Some (aget t.slab i).time
+  if i < 0 then None else Some (eget t.slab i).time
 
 (* Consume the front-cache entry directly: it lives in no structure,
    so popping it is a handful of field writes. [front] is only ever set
    by the wheel backend. *)
 let pop_front t i =
-  let e = aget t.slab i in
+  let e = eget t.slab i in
   t.front <- -1;
   advance_cur t e.time;
   t.live <- t.live - 1;
@@ -536,7 +560,7 @@ let pop t =
     let i = global_min t in
     if i < 0 then None
     else begin
-      let e = aget t.slab i in
+      let e = eget t.slab i in
       let time = e.time and v = e.value in
       consume t i e;
       free_entry t i e;
@@ -547,12 +571,12 @@ let pop t =
 let pop_if_before t ~horizon =
   let i = t.front in
   if i >= 0 then
-    if (aget t.slab i).time > horizon then None else pop_front t i
+    if (eget t.slab i).time > horizon then None else pop_front t i
   else begin
     let i = global_min t in
     if i < 0 then None
     else begin
-      let e = aget t.slab i in
+      let e = eget t.slab i in
       if e.time > horizon then None
       else begin
         let time = e.time and v = e.value in
@@ -567,7 +591,7 @@ let drain_before t ~horizon f =
   let rec go () =
     let i = global_min t in
     if i >= 0 then begin
-      let e = aget t.slab i in
+      let e = eget t.slab i in
       if e.time <= horizon then begin
         let time = e.time and v = e.value in
         consume t i e;
@@ -601,7 +625,7 @@ let drain_batch t ~horizon ~start ~handlers f =
   let rec run bt =
     let i = global_min t in
     if i >= 0 then begin
-      let e = aget t.slab i in
+      let e = eget t.slab i in
       if e.time = bt then begin
         dispatch i e;
         run bt
@@ -616,7 +640,7 @@ let drain_batch t ~horizon ~start ~handlers f =
   in
   let i = global_min t in
   (if i >= 0 then begin
-     let e = aget t.slab i in
+     let e = eget t.slab i in
      if e.time <= horizon then begin
        let bt = e.time in
        start bt;
@@ -630,7 +654,7 @@ let pop_event t ~tagged ~closure =
   let i = global_min t in
   if i < 0 then false
   else begin
-    let e = aget t.slab i in
+    let e = eget t.slab i in
     let time = e.time and v = e.value and p = e.tagp in
     consume t i e;
     free_entry t i e;

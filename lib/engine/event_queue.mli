@@ -138,3 +138,8 @@ val pool_allocated : 'a t -> int
 
 val pool_free : 'a t -> int
 (** Entry records currently sitting in the free list. *)
+
+val summary_consistent : 'a t -> bool
+(** Diagnostic: on every wheel level, summary bit [w] is set iff
+    occupancy word [w] is nonzero, and no summary bit lies past the last
+    word. Always [true] on the heap backend. *)

@@ -13,7 +13,7 @@ let of_cycles ~ghz c =
   if c <= 0 then 0
   else
     let f = float_of_int c /. ghz in
-    max 1 (int_of_float (Float.round f))
+    Int.max 1 (int_of_float (Float.round f))
 
 let pp fmt t =
   if t < 1_000 then Format.fprintf fmt "%dns" t

@@ -26,6 +26,7 @@ let set_pkru t v =
   t.pkru <- v
 let account t = t.account
 let charge t cat d = Vessel_stats.Cycle_account.charge t.account cat d
+let charge_app t app d = Vessel_stats.Cycle_account.charge_app t.account app d
 let umwait t = t.umwait
 let rng t = t.rng
 

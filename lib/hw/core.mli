@@ -19,6 +19,9 @@ val set_pkru : t -> Pkru.t -> unit
 val account : t -> Vessel_stats.Cycle_account.t
 val charge : t -> Vessel_stats.Cycle_account.category -> int -> unit
 
+val charge_app : t -> int -> int -> unit
+(** [charge_app t app d] charges [d] ns to [App app], allocation-free. *)
+
 val umwait : t -> Umwait.t
 
 val rng : t -> Vessel_engine.Rng.t

@@ -107,5 +107,5 @@ let jittered _t rng base =
       else if base < 1_000 then 2.5 +. (2.5 *. Rng.float rng)
       else 1.9 +. (1.0 *. Rng.float rng)
     in
-    max 1 (int_of_float (Float.round (float_of_int base *. m)))
+    Int.max 1 (int_of_float (Float.round (float_of_int base *. m)))
   end

@@ -1,9 +1,10 @@
 module Time = Vessel_engine.Time
+module Id_table = Vessel_engine.Id_table
 
 type t = {
   capacity : float; (* bytes per ns *)
   window : Time.t;
-  totals : (int, int ref) Hashtbl.t; (* cumulative per app *)
+  totals : int ref Id_table.t; (* cumulative per app *)
   mutable window_start : Time.t;
   mutable window_bytes : int;
   mutable prev_utilization : float;
@@ -16,7 +17,7 @@ let create ?(capacity_bytes_per_ns = 40.) ?(window = 100_000) () =
   {
     capacity = capacity_bytes_per_ns;
     window;
-    totals = Hashtbl.create 8;
+    totals = Id_table.create ();
     window_start = 0;
     window_bytes = 0;
     prev_utilization = 0.;
@@ -34,19 +35,19 @@ let consume t ~app ~bytes ~at =
   if bytes < 0 then invalid_arg "Membw.consume: negative bytes";
   roll t ~at;
   t.window_bytes <- t.window_bytes + bytes;
-  (match Hashtbl.find_opt t.totals app with
+  match Id_table.find_opt t.totals app with
   | Some c -> c := !c + bytes
-  | None -> Hashtbl.add t.totals app (ref bytes))
+  | None -> Id_table.set t.totals app (ref bytes)
 
 let congestion t = Float.max 1. t.prev_utilization
 let utilization t = t.prev_utilization
 
 let total_bytes t ~app =
-  match Hashtbl.find_opt t.totals app with Some c -> !c | None -> 0
+  match Id_table.find_opt t.totals app with Some c -> !c | None -> 0
 
 let achieved t ~app ~wall =
   if wall <= 0 then 0. else float_of_int (total_bytes t ~app) /. float_of_int wall
 
 let capacity t = t.capacity
 
-let apps t = Hashtbl.fold (fun k _ acc -> k :: acc) t.totals [] |> List.sort compare
+let apps t = Id_table.ids t.totals

@@ -19,7 +19,8 @@ val create :
 (** Defaults: 40 bytes/ns (40 GB/s per socket) and 100 us windows. *)
 
 val consume : t -> app:int -> bytes:int -> at:Vessel_engine.Time.t -> unit
-(** Record traffic. [at] must be non-decreasing across calls. *)
+(** Record traffic. [at] must be non-decreasing across calls; [app] must
+    lie in [\[0, Vessel_engine.Id_table.max_id\]]. *)
 
 val congestion : t -> float
 (** >= 1. Multiplier for memory-bound work: 1 while the previous window's

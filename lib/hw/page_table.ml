@@ -79,7 +79,7 @@ let access_range t ~pkru ~addr ~len kind =
   let rec go n =
     if n > last then Ok ()
     else
-      let page_addr = max addr (Page.base_of_number n) in
+      let page_addr = Int.max addr (Page.base_of_number n) in
       match access t ~pkru ~addr:page_addr kind with
       | Ok () -> go (n + 1)
       | Error f -> Error (page_addr, f)

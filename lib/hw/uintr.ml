@@ -2,7 +2,11 @@ type vector = int
 
 type receiver = {
   id : int;
-  mutable pir : int64; (* posted-interrupt requests, bit per vector *)
+  (* Posted-interrupt requests, one bit per vector, as two unboxed 32-bit
+     halves (vectors 0-31, 32-63): a [mutable int64] would box a fresh
+     value and pay [caml_modify] on every post. *)
+  mutable pir_lo : int;
+  mutable pir_hi : int;
   mutable running : bool;
   mutable suppressed : bool;
 }
@@ -16,7 +20,7 @@ type t = { notify : receiver -> unit; mutable receivers : receiver list }
 let create ~notify = { notify; receivers = [] }
 
 let register_receiver t ~id =
-  let r = { id; pir = 0L; running = false; suppressed = false } in
+  let r = { id; pir_lo = 0; pir_hi = 0; running = false; suppressed = false } in
   t.receivers <- r :: t.receivers;
   r
 
@@ -33,7 +37,11 @@ let uitt_set uitt ~index r ~vector =
     invalid_arg "Uintr.uitt_set: vector must be in [0,63]";
   uitt.entries.(index) <- Some { target = r; vector }
 
-let post r vector = r.pir <- Int64.logor r.pir (Int64.shift_left 1L vector)
+let post r vector =
+  if vector < 32 then r.pir_lo <- r.pir_lo lor (1 lsl vector)
+  else r.pir_hi <- r.pir_hi lor (1 lsl (vector - 32))
+
+let has_pending r = r.pir_lo lor r.pir_hi <> 0
 
 let senduipi t uitt ~index =
   if index < 0 || index >= Array.length uitt.entries then
@@ -57,7 +65,7 @@ let senduipi t uitt ~index =
 let set_running t r running =
   let was = r.running in
   r.running <- running;
-  if running && (not was) && (not r.suppressed) && r.pir <> 0L then
+  if running && (not was) && (not r.suppressed) && has_pending r then
     t.notify r
 
 let is_running r = r.running
@@ -65,28 +73,26 @@ let is_running r = r.running
 let set_suppressed t r suppressed =
   let was = r.suppressed in
   r.suppressed <- suppressed;
-  if was && (not suppressed) && r.running && r.pir <> 0L then t.notify r
+  if was && (not suppressed) && r.running && has_pending r then t.notify r
 
 (* Would a notification reach this receiver right now? Used by delayed /
    retried deliveries to re-validate before dispatching: the victim may
    have parked (clearing PIR at privileged entry) or been suppressed
    while the notification was in flight. *)
-let deliverable r = r.running && (not r.suppressed) && r.pir <> 0L
+let deliverable r = r.running && (not r.suppressed) && has_pending r
 
 let take_pending r =
-  let pir = r.pir in
   (* Usually empty: pick_next polls this at every privileged entry, so
-     the common case must not walk (and box) 64 vector positions. *)
-  if pir = 0L then []
+     the common case must not walk 64 vector positions. *)
+  if not (has_pending r) then []
   else begin
-    r.pir <- 0L;
-    (* Split into two unboxed 32-bit halves and pop set bits with the de
-       Bruijn ctz: the drain allocates one cell per pending vector (the
-       result list), not 64 boxed Int64 probes. Popping the lowest bit
+    let lo = r.pir_lo and hi = r.pir_hi in
+    r.pir_lo <- 0;
+    r.pir_hi <- 0;
+    (* Pop set bits with the de Bruijn ctz: the drain allocates one cell
+       per pending vector (the result list). Popping the lowest bit
        builds each half in descending order, lo half consed deepest, so
        one reverse yields the ascending vector order callers expect. *)
-    let lo = Int64.to_int (Int64.logand pir 0xFFFFFFFFL) in
-    let hi = Int64.to_int (Int64.shift_right_logical pir 32) in
     let rec pop base x acc =
       if x = 0 then acc
       else
@@ -96,5 +102,3 @@ let take_pending r =
     in
     List.rev (pop 32 hi (pop 0 lo []))
   end
-
-let has_pending r = r.pir <> 0L

@@ -87,7 +87,7 @@ let copy_out t ~addr ~len =
       let a = addr + off in
       let n = Page.number_of_addr a in
       let in_page = a - Page.base_of_number n in
-      let chunk = min (Page.size - in_page) (len - off) in
+      let chunk = Int.min (Page.size - in_page) (len - off) in
       Bytes.blit (page_bytes t n) in_page out off chunk;
       go (off + chunk)
     end
@@ -102,7 +102,7 @@ let copy_in t ~addr src =
       let a = addr + off in
       let n = Page.number_of_addr a in
       let in_page = a - Page.base_of_number n in
-      let chunk = min (Page.size - in_page) (len - off) in
+      let chunk = Int.min (Page.size - in_page) (len - off) in
       Bytes.blit src off (page_bytes t n) in_page chunk;
       go (off + chunk)
     end

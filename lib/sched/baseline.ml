@@ -1,4 +1,5 @@
 module Sim = Vessel_engine.Sim
+module Id_table = Vessel_engine.Id_table
 module Hw = Vessel_hw
 module U = Vessel_uprocess
 module Stats = Vessel_stats
@@ -100,15 +101,14 @@ type t = {
   cindex : U.Core_index.t;
   unowned : U.Core_index.Bitset.t; (* cores with no owner *)
   beown : U.Core_index.Bitset.t; (* cores owned by a best-effort app *)
-  apps : (int, app_state) Hashtbl.t;
-  mutable app_order : int list; (* registration order, LC sorted first *)
+  apps : app_state Id_table.t;
   (* registration order pre-split by class (scheduler_pass runs every
      realloc tick; rebuilding these lists there would allocate) *)
   mutable lc_order : int list;
   mutable be_order : int list;
   owner : int option array; (* core -> app id *)
   stint_start : int array; (* when the owner acquired the core *)
-  last_app : int option array;
+  last_app : int array; (* app last landed on each core; -1 = none *)
   spun : bool array;
   spin_threads : U.Uthread.t option array;
   park_hist : Stats.Histogram.t;
@@ -126,7 +126,7 @@ let ncores t = Hw.Machine.ncores t.machine
 let now t = Hw.Machine.now t.machine
 
 let app_state t id =
-  match Hashtbl.find_opt t.apps id with
+  match Id_table.find_opt t.apps id with
   | Some a -> a
   | None -> invalid_arg (Printf.sprintf "Baseline: unknown app %d" id)
 
@@ -171,24 +171,27 @@ let rec pop_live q =
 (* The busy-polling IOKernel sees every queue: when a core frees up, it
    regrants it to the app with the oldest waiting work, latency-critical
    apps first (the cross-app switch cost is charged by switch_overhead —
-   the 2.1 us park-based reallocation of Table 1). *)
-let needy_app ?except ?(lc_only = false) t =
-  let best = ref None in
-  let consider id =
-    let a = app_state t id in
-    if Some id <> except then begin
-      let len = U.Task_queue.length a.queue in
-      if len > 0 then begin
-        let delay = U.Task_queue.head_delay a.queue ~now:(now t) in
-        match !best with
-        | Some (_, d) when d >= delay -> ()
-        | _ -> best := Some (id, delay)
+   the 2.1 us park-based reallocation of Table 1).
+   App ids come back as plain ints, -1 for nobody, so the poll allocates
+   nothing. *)
+let rec neediest t ~except ids best best_delay =
+  match ids with
+  | [] -> best
+  | id :: rest ->
+      let q = (app_state t id).queue in
+      if id <> except && U.Task_queue.length q > 0 then begin
+        let delay = U.Task_queue.head_delay q ~now:(now t) in
+        if best < 0 || delay > best_delay then neediest t ~except rest id delay
+        else neediest t ~except rest best best_delay
       end
-    end
-  in
-  List.iter consider t.lc_order;
-  if (not lc_only) && !best = None then List.iter consider t.be_order;
-  Option.map fst !best
+      else neediest t ~except rest best best_delay
+
+(* [except]: an app id to pass over (-1 = none). Labelled, not optional:
+   an optional argument would box its value at every call. *)
+let needy_app t ~except ~lc_only =
+  let best = neediest t ~except t.lc_order (-1) 0 in
+  if best < 0 && not lc_only then neediest t ~except t.be_order (-1) 0
+  else best
 
 (* Who may take the core from [app] when its stint expires: anyone if the
    owner is best-effort, only latency-critical peers otherwise — Caladan
@@ -197,7 +200,7 @@ let rotation_candidate t ~owner =
   let lc_only =
     (app_state t owner).spec.Sched_intf.class_ = Sched_intf.Latency_critical
   in
-  needy_app ~except:owner ~lc_only t
+  needy_app t ~except:owner ~lc_only
 
 let acquire t ~core app =
   let a = app_state t app in
@@ -231,9 +234,9 @@ let rec pick_next t ~core =
   | None -> (
       (* Unowned core polled awake: the IOKernel hands it to whoever
          needs it. *)
-      match needy_app t with
-      | None -> None
-      | Some app ->
+      match needy_app t ~except:(-1) ~lc_only:false with
+      | -1 -> None
+      | app ->
           acquire t ~core app;
           pick_next t ~core)
   | Some app -> (
@@ -243,12 +246,12 @@ let rec pick_next t ~core =
          the core if anyone else is waiting. *)
       if
         now t - t.stint_start.(core) >= t.profile.realloc_interval
-        && rotation_candidate t ~owner:app <> None
+        && rotation_candidate t ~owner:app >= 0
       then begin
         release t ~core app;
-        match needy_app t with
-        | None -> None
-        | Some app2 ->
+        match needy_app t ~except:(-1) ~lc_only:false with
+        | -1 -> None
+        | app2 ->
             acquire t ~core app2;
             pick_next t ~core
       end
@@ -266,9 +269,9 @@ let rec pick_next t ~core =
               (* Out of work: release the core, which is immediately
                  regranted if anyone is waiting. *)
               release t ~core app;
-              match needy_app t with
-              | None -> None
-              | Some app2 ->
+              match needy_app t ~except:(-1) ~lc_only:false with
+              | -1 -> None
+              | app2 ->
                   acquire t ~core app2;
                   pick_next t ~core
             end)
@@ -284,22 +287,20 @@ let switch_overhead t ~core ~kind ~next =
   let core_id = Hw.Core.id core in
   let next_app =
     match next with
-    | Some th when not (is_spin th) -> Some (U.Uthread.app th)
+    | Some th when not (is_spin th) -> U.Uthread.app th
     | Some _ -> t.last_app.(core_id) (* the steal loop stays in-app *)
-    | None -> None
+    | None -> -1
   in
-  let same_app = next_app <> None && next_app = t.last_app.(core_id) in
+  let same_app = next_app >= 0 && next_app = t.last_app.(core_id) in
   match kind with
   | U.Exec.Initial | U.Exec.Idle_wake | U.Exec.Park_switch | U.Exec.Exit_switch
-    -> (
-      match next_app with
-      | None -> Hw.Machine.jitter t.machine core t.profile.green_switch
-      | Some _ ->
-          if same_app then Hw.Machine.jitter t.machine core t.profile.green_switch
-          else begin
-            t.reallocs <- t.reallocs + 1;
-            cross_app_switch t core
-          end)
+    ->
+      if next_app < 0 || same_app then
+        Hw.Machine.jitter t.machine core t.profile.green_switch
+      else begin
+        t.reallocs <- t.reallocs + 1;
+        cross_app_switch t core
+      end
   | U.Exec.Preempt_switch ->
       if same_app then
         (* Aborting the steal loop for freshly arrived work of the same
@@ -318,9 +319,9 @@ let switch_overhead t ~core ~kind ~next =
 let on_run t ~core th =
   if not (is_spin th) then begin
     (* A cross-application landing starts a fresh ownership stint. *)
-    if t.last_app.(core) <> Some (U.Uthread.app th) then
+    if t.last_app.(core) <> U.Uthread.app th then
       t.stint_start.(core) <- now t;
-    t.last_app.(core) <- Some (U.Uthread.app th);
+    t.last_app.(core) <- U.Uthread.app th;
     (* The dispatch stamp the gap/starvation checker pairs with
        queue.push: no PKRU here — kernel threading has no protection-key
        switch — and the checker tolerates its absence. *)
@@ -397,7 +398,7 @@ let demand t a =
   | Delay_based { hi; _ } ->
       let delay = U.Task_queue.head_delay a.queue ~now:(now t) in
       if delay > hi || (a.granted = 0 && U.Task_queue.length a.queue > 0) then
-        max 1 (U.Task_queue.length a.queue)
+        Int.max 1 (U.Task_queue.length a.queue)
       else 0
   | Utilization_based { grow_above; shrink_below = _ } ->
       let busy = ref 0 in
@@ -407,7 +408,7 @@ let demand t a =
       let busy = !busy in
       let delta = busy - a.busy_snapshot in
       a.busy_snapshot <- busy;
-      let capacity = max 1 (a.granted * t.profile.realloc_interval) in
+      let capacity = Int.max 1 (a.granted * t.profile.realloc_interval) in
       let util = float_of_int delta /. float_of_int capacity in
       if a.granted = 0 && U.Task_queue.length a.queue > 0 then 1
       else if util > grow_above then 1
@@ -422,8 +423,8 @@ let scheduler_pass t =
     | Some app
       when now t - t.stint_start.(core) >= t.profile.realloc_interval -> (
         match rotation_candidate t ~owner:app with
-        | Some app2 -> preempt_for t ~app:app2 ~core
-        | None -> ())
+        | -1 -> ()
+        | app2 -> preempt_for t ~app:app2 ~core)
     | _ -> ()
   done;
   (* Latency-critical apps first, then best-effort backfill. *)
@@ -470,9 +471,9 @@ let tick t =
 (* --- Sched_intf plumbing --- *)
 
 let add_app t spec =
-  if Hashtbl.mem t.apps spec.Sched_intf.id then
+  if Id_table.mem t.apps spec.Sched_intf.id then
     invalid_arg "Baseline.add_app: duplicate app id";
-  Hashtbl.add t.apps spec.Sched_intf.id
+  Id_table.set t.apps spec.Sched_intf.id
     {
       spec;
       queue = U.Task_queue.create ();
@@ -483,7 +484,6 @@ let add_app t spec =
       granted = 0;
       busy_snapshot = 0;
     };
-  t.app_order <- t.app_order @ [ spec.Sched_intf.id ];
   (match spec.Sched_intf.class_ with
   | Sched_intf.Latency_critical -> t.lc_order <- t.lc_order @ [ spec.Sched_intf.id ]
   | Sched_intf.Best_effort -> t.be_order <- t.be_order @ [ spec.Sched_intf.id ])
@@ -497,7 +497,7 @@ let add_worker t ~app_id ~name ~step =
   in
   let slot = U.Core_index.Pset.register a.pset in
   if slot >= Array.length a.workers_arr then begin
-    let arr = Array.make (max 4 (2 * Array.length a.workers_arr)) th in
+    let arr = Array.make (Int.max 4 (2 * Array.length a.workers_arr)) th in
     Array.blit a.workers_arr 0 arr 0 a.nworkers;
     a.workers_arr <- arr
   end;
@@ -585,13 +585,12 @@ let make profile ~machine =
       cindex = U.Core_index.create ~ncores:n;
       unowned;
       beown = U.Core_index.Bitset.create n;
-      apps = Hashtbl.create 8;
-      app_order = [];
+      apps = Id_table.create ();
       lc_order = [];
       be_order = [];
       owner = Array.make n None;
       stint_start = Array.make n 0;
-      last_app = Array.make n None;
+      last_app = Array.make n (-1);
       spun = Array.make n false;
       spin_threads = Array.make n None;
       park_hist = Stats.Histogram.create ();

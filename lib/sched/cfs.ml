@@ -1,4 +1,5 @@
 module Sim = Vessel_engine.Sim
+module Id_table = Vessel_engine.Id_table
 module Hw = Vessel_hw
 module U = Vessel_uprocess
 module Stats = Vessel_stats
@@ -48,9 +49,9 @@ type t = {
   machine : Hw.Machine.t;
   params : params;
   mutable exec : U.Exec.t option;
-  apps : (int, app_state) Hashtbl.t;
+  apps : app_state Id_table.t;
   cores : cstate array;
-  by_tid : (int, tstate) Hashtbl.t;
+  by_tid : tstate Id_table.t;
   mutable next_tid : int;
   mutable rr : int;
 }
@@ -60,7 +61,7 @@ let ncores t = Hw.Machine.ncores t.machine
 let now t = Hw.Machine.now t.machine
 
 let tstate t th =
-  match Hashtbl.find_opt t.by_tid (U.Uthread.tid th) with
+  match Id_table.find_opt t.by_tid (U.Uthread.tid th) with
   | Some ts -> ts
   | None -> invalid_arg "Cfs: unknown thread"
 
@@ -88,8 +89,8 @@ let timeslice t cs ts =
   let total =
     List.fold_left (fun acc o -> acc + o.weight) ts.weight cs.rq
   in
-  let share = t.params.sched_period * ts.weight / max 1 total in
-  max t.params.min_granularity share
+  let share = t.params.sched_period * ts.weight / Int.max 1 total in
+  Int.max t.params.min_granularity share
 
 let rec arm_timer t ~core =
   let cs = t.cores.(core) in
@@ -157,14 +158,14 @@ let switch_overhead t ~core ~kind ~next =
 (* --- Sched_intf --- *)
 
 let app_state t id =
-  match Hashtbl.find_opt t.apps id with
+  match Id_table.find_opt t.apps id with
   | Some a -> a
   | None -> invalid_arg (Printf.sprintf "Cfs: unknown app %d" id)
 
 let add_app t spec =
-  if Hashtbl.mem t.apps spec.Sched_intf.id then
+  if Id_table.mem t.apps spec.Sched_intf.id then
     invalid_arg "Cfs.add_app: duplicate app id";
-  Hashtbl.add t.apps spec.Sched_intf.id { spec; workers = [] }
+  Id_table.set t.apps spec.Sched_intf.id { spec; workers = [] }
 
 let add_worker t ~app_id ~name ~step =
   let a = app_state t app_id in
@@ -183,7 +184,7 @@ let add_worker t ~app_id ~name ~step =
   let core = t.rr mod ncores t in
   t.rr <- t.rr + 1;
   let ts = { th; weight = weight_of_nice nice; vr = t.cores.(core).clock_vr } in
-  Hashtbl.replace t.by_tid tid ts;
+  Id_table.set t.by_tid tid ts;
   a.workers <- ts :: a.workers;
   t.cores.(core).rq <- ts :: t.cores.(core).rq;
   U.Exec.notify (get_exec t) ~core;
@@ -235,11 +236,11 @@ let make ?(params = default_params) ~machine () =
       machine;
       params;
       exec = None;
-      apps = Hashtbl.create 8;
+      apps = Id_table.create ();
       cores =
         Array.init n (fun _ ->
             { rq = []; current = None; started = 0; timer = None; clock_vr = 0. });
-      by_tid = Hashtbl.create 64;
+      by_tid = Id_table.create ();
       next_tid = 1;
       rr = 0;
     }

@@ -1,4 +1,5 @@
 module Sim = Vessel_engine.Sim
+module Id_table = Vessel_engine.Id_table
 module Rng = Vessel_engine.Rng
 module Hw = Vessel_hw
 module Mem = Vessel_mem
@@ -47,9 +48,12 @@ type t = {
      bitsets. *)
   fast : bool;
   mask : U.Core_index.Bitset.t;
-  apps : (int, app_state) Hashtbl.t;
-  (* Hashtbl.iter order over [apps], cached so the per-tick backlog scan
-     does not walk hash buckets; rebuilt on every [add_app]. *)
+  apps : app_state Id_table.t; (* per-event lookups by app id *)
+  (* The same apps in [Hashtbl.iter] order, which the per-tick backlog
+     scan follows: wakes consume placement slots, so app order is
+     decision-relevant. [by_hash] exists only to produce that order;
+     [apps_order] is rebuilt from it on every [add_app]. *)
+  by_hash : (int, app_state) Hashtbl.t;
   mutable apps_order : app_state array;
   image_rng : Rng.t;
   mutable rr : int; (* round-robin worker placement cursor *)
@@ -93,7 +97,8 @@ let make ?(params = default_params) ?slots ?cores ~machine () =
     cores;
     fast;
     mask;
-    apps = Hashtbl.create 8;
+    apps = Id_table.create ();
+    by_hash = Hashtbl.create 8;
     apps_order = [||];
     image_rng = Rng.split (Sim.rng (Hw.Machine.sim machine));
     rr = 0;
@@ -134,13 +139,17 @@ let send_preempt t ~core commands =
   U.Runtime.preempt_core t.rt ~core commands
 
 let app_state t id =
-  match Hashtbl.find_opt t.apps id with
+  match Id_table.find_opt t.apps id with
   | Some a -> a
   | None -> invalid_arg (Printf.sprintf "Vessel: unknown app %d" id)
 
 let add_app t spec =
-  if Hashtbl.mem t.apps spec.Sched_intf.id then
-    invalid_arg "Vessel.add_app: duplicate app id";
+  let id = spec.Sched_intf.id in
+  if Id_table.mem t.apps id then invalid_arg "Vessel.add_app: duplicate app id";
+  (* Checked before the uProcess is built, so a rejected id leaves no
+     half-registered app behind. *)
+  if id < 0 || id > Id_table.max_id then
+    invalid_arg "Vessel.add_app: app id out of range";
   let image =
     Mem.Image.make ~name:spec.Sched_intf.name ~text_size:16_384 t.image_rng
   in
@@ -149,7 +158,7 @@ let add_app t spec =
       invalid_arg
         (Format.asprintf "Vessel.add_app: %a" U.Manager.pp_create_error e)
   | Ok uproc ->
-      Hashtbl.add t.apps spec.Sched_intf.id
+      let a =
         {
           spec;
           uproc;
@@ -157,12 +166,12 @@ let add_app t spec =
           workers_arr = [||];
           nworkers = 0;
           backlog_probe = None;
-        };
-      (* Refresh the cached iteration order (scan_backlogs must follow
-         Hashtbl.iter order exactly — wakes consume placement slots, so
-         app order is decision-relevant). *)
+        }
+      in
+      Id_table.set t.apps id a;
+      Hashtbl.add t.by_hash id a;
       let acc = ref [] in
-      Hashtbl.iter (fun _ a -> acc := a :: !acc) t.apps;
+      Hashtbl.iter (fun _ a -> acc := a :: !acc) t.by_hash;
       t.apps_order <- Array.of_list (List.rev !acc)
 
 let add_worker t ~app_id ~name ~step =
@@ -176,7 +185,7 @@ let add_worker t ~app_id ~name ~step =
   in
   let slot = U.Core_index.Pset.register a.pset in
   if slot >= Array.length a.workers_arr then begin
-    let arr = Array.make (max 4 (2 * Array.length a.workers_arr)) th in
+    let arr = Array.make (Int.max 4 (2 * Array.length a.workers_arr)) th in
     Array.blit a.workers_arr 0 arr 0 a.nworkers;
     a.workers_arr <- arr
   end;

@@ -17,7 +17,12 @@ type t
 val create : unit -> t
 
 val charge : t -> category -> Vessel_engine.Time.t -> unit
-(** Add [d] ns to the category. Negative durations raise. *)
+(** Add [d] ns to the category. Negative durations raise. App ids must
+    lie in [\[0, Vessel_engine.Id_table.max_id\]]. *)
+
+val charge_app : t -> int -> Vessel_engine.Time.t -> unit
+(** [charge_app t id d] is [charge t (App id) d] without building the
+    [App id] block: the per-segment charge path. *)
 
 val total : t -> category -> Vessel_engine.Time.t
 (** Total charged to exactly this category. *)

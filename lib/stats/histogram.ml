@@ -3,7 +3,10 @@ type t = {
   sub : int; (* 2^precision sub-buckets per magnitude *)
   buckets : int array; (* one row of [sub] buckets per magnitude 0..62 *)
   mutable count : int;
-  mutable total : float;
+  total : float array;
+      (* one cell: a float array stores its float flat, where a mutable
+         float field of this mixed record would box a fresh float and
+         pay [caml_modify] on every [record] *)
   mutable min_v : int;
   mutable max_v : int;
 }
@@ -19,7 +22,7 @@ let create ?(precision = 6) () =
     sub;
     buckets = Array.make (magnitudes * sub) 0;
     count = 0;
-    total = 0.;
+    total = [| 0. |];
     min_v = Stdlib.max_int;
     max_v = 0;
   }
@@ -54,7 +57,7 @@ let record_n t v ~n =
     let i = index t v in
     t.buckets.(i) <- t.buckets.(i) + n;
     t.count <- t.count + n;
-    t.total <- t.total +. (float_of_int v *. float_of_int n);
+    t.total.(0) <- t.total.(0) +. (float_of_int v *. float_of_int n);
     if v < t.min_v then t.min_v <- v;
     if v > t.max_v then t.max_v <- v
   end
@@ -64,7 +67,7 @@ let record t v = record_n t v ~n:1
 let count t = t.count
 let min t = if t.count = 0 then 0 else t.min_v
 let max t = t.max_v
-let mean t = if t.count = 0 then 0. else t.total /. float_of_int t.count
+let mean t = if t.count = 0 then 0. else t.total.(0) /. float_of_int t.count
 
 let percentile t p =
   if p <= 0. || p > 100. then
@@ -80,7 +83,7 @@ let percentile t p =
       if i >= n then t.max_v
       else begin
         let acc = acc + t.buckets.(i) in
-        if acc >= target then Stdlib.min (value_of_index t i) t.max_v
+        if acc >= target then Int.min (value_of_index t i) t.max_v
         else go (i + 1) acc
       end
     in
@@ -94,7 +97,7 @@ let merge ~into src =
     (fun i c -> if c > 0 then into.buckets.(i) <- into.buckets.(i) + c)
     src.buckets;
   into.count <- into.count + src.count;
-  into.total <- into.total +. src.total;
+  into.total.(0) <- into.total.(0) +. src.total.(0);
   if src.count > 0 then begin
     if src.min_v < into.min_v then into.min_v <- src.min_v;
     if src.max_v > into.max_v then into.max_v <- src.max_v
@@ -103,7 +106,7 @@ let merge ~into src =
 let clear t =
   Array.fill t.buckets 0 (Array.length t.buckets) 0;
   t.count <- 0;
-  t.total <- 0.;
+  t.total.(0) <- 0.;
   t.min_v <- Stdlib.max_int;
   t.max_v <- 0
 

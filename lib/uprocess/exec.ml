@@ -118,14 +118,20 @@ let charge t ~core cat d =
     Hw.Core.charge (hw_core t core) cat d
   end
 
-(* Action bookkeeping: which account a segment bills, and its completion
-   callback. *)
-let action_category t th = function
-  | Uthread.Syscall _ -> t.hooks.syscall_category
+(* Action bookkeeping: bill [d] ns of [th]'s segment to its account.
+   App time is charged by id, so the per-segment path builds no
+   [Cycle_account.App] block. *)
+let charge_action t ~core th action d =
+  match action with
+  | Uthread.Syscall _ -> charge t ~core t.hooks.syscall_category d
   (* Runtime_work is always userspace-runtime time (e.g. a steal loop),
      even when the scheduler's switch overheads land in the kernel. *)
-  | Uthread.Runtime_work _ -> Stats.Cycle_account.Runtime
-  | _ -> Stats.Cycle_account.App (Uthread.app th)
+  | Uthread.Runtime_work _ -> charge t ~core Stats.Cycle_account.Runtime d
+  | Uthread.Compute _ | Uthread.Mem_work _ | Uthread.Park | Uthread.Exit ->
+      if d > 0 then begin
+        if !Probe.metrics_on then Probe.incr ~by:d "cycles.app";
+        Hw.Core.charge_app (hw_core t core) (Uthread.app th) d
+      end
 
 let action_name = function
   | Uthread.Compute _ -> Tag.compute
@@ -268,7 +274,7 @@ and exec_segment t ~core th =
       run_timed t ~core th action ~effective
 
 and run_timed t ~core th action ~effective =
-  let effective = max 0 effective in
+  let effective = Int.max 0 effective in
   let started = now t in
   if !Probe.on then
     Probe.span_begin ~ts:started ~track:(core_track core)
@@ -298,7 +304,7 @@ and run_timed t ~core th action ~effective =
 
 and complete_segment t ~core th action ~effective =
   if !Probe.on then Probe.span_end ~ts:(now t) ~track:(core_track core);
-  charge t ~core (action_category t th action) effective;
+  charge_action t ~core th action effective;
   (match action with
   | Uthread.Compute _ | Uthread.Mem_work _ -> Uthread.charge th effective
   | Uthread.Syscall _ | Uthread.Runtime_work _ | Uthread.Park | Uthread.Exit ->
@@ -331,8 +337,8 @@ and preempt t ~core ~overhead =
           ()
       end;
       if !Probe.metrics_on then Probe.incr "uproc.preempts";
-      let executed = min effective (now t - started) in
-      charge t ~core (action_category t th action) executed;
+      let executed = Int.min effective (now t - started) in
+      charge_action t ~core th action executed;
       (match action with
       | Uthread.Compute _ | Uthread.Mem_work _ -> Uthread.charge th executed
       | _ -> ());
@@ -449,8 +455,8 @@ let stop t ~core =
   (match t.states.(core) with
   | Executing { th; action; started; effective; handle } ->
       Sim.cancel (sim t) handle;
-      let executed = min effective (now t - started) in
-      charge t ~core (action_category t th action) executed;
+      let executed = Int.min effective (now t - started) in
+      charge_action t ~core th action executed;
       Uthread.set_state th Uthread.Ready
   | Switching { handle; _ } -> Sim.cancel (sim t) handle
   | Idle { since } -> charge t ~core Stats.Cycle_account.Idle (now t - since)

@@ -1,4 +1,5 @@
 module Sim = Vessel_engine.Sim
+module Id_table = Vessel_engine.Id_table
 module Hw = Vessel_hw
 module Mem = Vessel_mem
 module Stats = Vessel_stats
@@ -21,8 +22,8 @@ type t = {
   index : Core_index.t;
   core_queues : Task_queue.t array;
   be_queue : Task_queue.t;
-  uprocs : (int, Uprocess.t) Hashtbl.t;
-  threads : (int, Uthread.t) Hashtbl.t;
+  uprocs : Uprocess.t Id_table.t; (* slot -> uProcess *)
+  threads : Uthread.t Id_table.t; (* tid -> live thread *)
   receivers : Hw.Uintr.receiver array;
   uitt : Hw.Uintr.uitt;
   park_hist : Stats.Histogram.t;
@@ -50,8 +51,8 @@ let index t = t.index
 let sync_len t ~core =
   Core_index.sync_len t.index core (Task_queue.length t.core_queues.(core))
 
-let uprocess t ~slot = Hashtbl.find_opt t.uprocs slot
-let thread t ~tid = Hashtbl.find_opt t.threads tid
+let uprocess t ~slot = Id_table.find_opt t.uprocs slot
+let thread t ~tid = Id_table.find_opt t.threads tid
 
 (* A thread is dead when it exited, was individually killed, or its
    uProcess was killed. *)
@@ -65,7 +66,7 @@ let is_dead t th =
 
 let finalize_exit t th =
   if Uthread.state th <> Uthread.Exited then Uthread.set_state th Uthread.Exited;
-  Hashtbl.remove t.threads (Uthread.tid th)
+  Id_table.remove t.threads (Uthread.tid th)
 
 let mark_killed t slot =
   match uprocess t ~slot with
@@ -278,8 +279,8 @@ let create ~machine ~smas () =
          core count for the global best-effort queue. *)
       core_queues = Array.init n (fun i -> Task_queue.create ~id:i ());
       be_queue = Task_queue.create ~id:n ();
-      uprocs = Hashtbl.create 8;
-      threads = Hashtbl.create 64;
+      uprocs = Id_table.create ();
+      threads = Id_table.create ();
       receivers;
       uitt;
       park_hist = Stats.Histogram.create ();
@@ -334,9 +335,9 @@ let stop ?cores t =
 
 let register_uprocess t u =
   let slot = Uprocess.slot u in
-  if Hashtbl.mem t.uprocs slot then
+  if Id_table.mem t.uprocs slot then
     invalid_arg (Printf.sprintf "Runtime.register_uprocess: slot %d taken" slot);
-  Hashtbl.add t.uprocs slot u
+  Id_table.set t.uprocs slot u
 
 let unregister_uprocess t ~slot =
   match uprocess t ~slot with
@@ -346,7 +347,7 @@ let unregister_uprocess t ~slot =
         invalid_arg "Runtime.unregister_uprocess: uProcess still alive";
       if Uprocess.live_threads u > 0 then
         invalid_arg "Runtime.unregister_uprocess: threads still live";
-      Hashtbl.remove t.uprocs slot
+      Id_table.remove t.uprocs slot
 
 (* Push scheduling commands to a core and kick it with a user interrupt.
    Every send path goes through here so the probe stream sees each one:
@@ -417,7 +418,7 @@ let spawn t ~uproc ~app ~priority ~name ~step ~stack ~core =
       ~step ()
   in
   Uprocess.add_thread uproc th;
-  Hashtbl.replace t.threads tid th;
+  Id_table.set t.threads tid th;
   (match priority with
   | Uthread.Best_effort -> Task_queue.push t.be_queue th ~now:(now t)
   | Uthread.Latency_critical ->

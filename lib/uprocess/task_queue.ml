@@ -1,3 +1,5 @@
+module Id_table = Vessel_engine.Id_table
+
 type entry = {
   thread : Uthread.t;
   at : Vessel_engine.Time.t;
@@ -7,12 +9,12 @@ type entry = {
 type t = {
   q : entry Queue.t;
   mutable front : entry list; (* prepended entries, newest first *)
-  present : (int, entry) Hashtbl.t; (* tid -> live entry *)
+  present : entry Id_table.t; (* tid -> live entry *)
   id : int; (* >= 0: queue operations are probe-visible under this id *)
 }
 
 let create ?(id = -1) () =
-  { q = Queue.create (); front = []; present = Hashtbl.create 16; id }
+  { q = Queue.create (); front = []; present = Id_table.create (); id }
 
 (* Queue-op instants feed the runtime invariant checker (FIFO order per
    queue, LC starvation). Only queues given an explicit deterministic id
@@ -41,9 +43,9 @@ let probe t name e =
 
 let add_present t th e =
   let tid = Uthread.tid th in
-  if Hashtbl.mem t.present tid then
+  if Id_table.mem t.present tid then
     invalid_arg (Printf.sprintf "Task_queue: tid %d already queued" tid);
-  Hashtbl.add t.present tid e
+  Id_table.set t.present tid e
 
 let push t th ~now =
   let e = { thread = th; at = now; dead = false } in
@@ -64,12 +66,11 @@ let rec settle t =
       t.front <- rest;
       settle t
   | _ :: _ -> ()
-  | [] -> (
-      match Queue.peek_opt t.q with
-      | Some e when e.dead ->
-          ignore (Queue.pop t.q);
-          settle t
-      | _ -> ())
+  | [] ->
+      if (not (Queue.is_empty t.q)) && (Queue.peek t.q).dead then begin
+        ignore (Queue.pop t.q);
+        settle t
+      end
 
 let take t =
   settle t;
@@ -83,7 +84,7 @@ let pop t =
   match take t with
   | None -> None
   | Some e ->
-      Hashtbl.remove t.present (Uthread.tid e.thread);
+      Id_table.remove t.present (Uthread.tid e.thread);
       probe t Vessel_obs.Tag.queue_pop e;
       Some (e.thread, e.at)
 
@@ -96,23 +97,27 @@ let peek t =
       | Some e -> Some (e.thread, e.at)
       | None -> None)
 
-let mem t th = Hashtbl.mem t.present (Uthread.tid th)
+let mem t th = Id_table.mem t.present (Uthread.tid th)
 
 let remove t th =
-  match Hashtbl.find_opt t.present (Uthread.tid th) with
+  match Id_table.find_opt t.present (Uthread.tid th) with
   | Some e ->
       e.dead <- true;
-      Hashtbl.remove t.present (Uthread.tid th);
+      Id_table.remove t.present (Uthread.tid th);
       probe t Vessel_obs.Tag.queue_remove e;
       true
   | None -> false
 
-let length t = Hashtbl.length t.present
+let length t = Id_table.length t.present
 
 let is_empty t = length t = 0
 
+(* Reads the head in place: [peek] would allocate its result. *)
 let head_delay t ~now =
-  match peek t with Some (_, at) -> max 0 (now - at) | None -> 0
+  settle t;
+  match t.front with
+  | e :: _ -> Int.max 0 (now - e.at)
+  | [] -> if Queue.is_empty t.q then 0 else Int.max 0 (now - (Queue.peek t.q).at)
 
 let iter t f =
   List.iter (fun e -> if not e.dead then f e.thread) t.front;

@@ -85,7 +85,7 @@ let next_action t ~now =
 
 let save_remainder t action ~executed =
   if executed < 0 then invalid_arg "Uthread.save_remainder: negative executed";
-  let cut ns = max 0 (ns - executed) in
+  let cut ns = Int.max 0 (ns - executed) in
   let rem =
     match action with
     | Compute c -> Compute { c with ns = cut c.ns }

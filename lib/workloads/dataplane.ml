@@ -69,7 +69,7 @@ let submit t ~now =
   | Nic -> invalid_arg "Dataplane.submit: not an SSD"
   | Ssd { latency } ->
       t.inflight <- t.inflight + 1;
-      let d = max 1 (int_of_float (Float.round (Dist.sample latency t.rng))) in
+      let d = Int.max 1 (int_of_float (Float.round (Dist.sample latency t.rng))) in
       ignore
         (Sim.schedule_tagged_after t.sim ~delay:d ~tag:t.complete_tag ~a:0
            ~b:now)
@@ -91,7 +91,7 @@ let poller_step t ?(batch = 16) ?(proc_ns = 600) ?(poll_ns = 200) () =
     end
     else begin
       probed := false;
-      let n = min batch (Queue.length t.queue) in
+      let n = Int.min batch (Queue.length t.queue) in
       let stamps = List.init n (fun _ -> Queue.pop t.queue) in
       U.Uthread.Compute
         {
@@ -102,7 +102,7 @@ let poller_step t ?(batch = 16) ?(proc_ns = 600) ?(poll_ns = 200) () =
                 t.processed <- t.processed + n;
                 List.iter
                   (fun stamp ->
-                    Stats.Histogram.record t.latencies (max 0 (finished - stamp)))
+                    Stats.Histogram.record t.latencies (Int.max 0 (finished - stamp)))
                   stamps);
         }
     end

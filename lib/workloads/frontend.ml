@@ -173,7 +173,7 @@ let on_response t ~now (r : resp) =
   if r.r_t0 >= t.window_start then begin
     t.n_served <- t.n_served + 1;
     t.n_served_by.(ix) <- t.n_served_by.(ix) + 1;
-    let sojourn = max 0 (now - r.r_t0) in
+    let sojourn = Int.max 0 (now - r.r_t0) in
     Stats.Histogram.record t.agg sojourn;
     Stats.Histogram.record t.per.(ix) sojourn;
     if !Obs.Probe.metrics_on then Obs.Probe.incr t.backends.(ix).served_metric
@@ -188,7 +188,7 @@ let on_response t ~now (r : resp) =
   end
 
 let sample_service t bk =
-  max 1 (int_of_float (Float.round (Dist.sample t.service bk.b_rng)))
+  Int.max 1 (int_of_float (Float.round (Dist.sample t.service bk.b_rng)))
 
 let worker_step t ix bk ~now:_ =
   match Queue.take_opt bk.b_queue with

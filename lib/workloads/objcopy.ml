@@ -28,7 +28,7 @@ let make ~sys ~app_id ~name ~region:(base, len) ?(object_bytes = 4096)
       incr batches;
       let batch_bytes = objects_per_batch * object_bytes in
       let start = base + !cursor in
-      let span = min batch_bytes (len - !cursor) in
+      let span = Int.min batch_bytes (len - !cursor) in
       cursor := (!cursor + batch_bytes) mod (len - (len mod object_bytes));
       U.Uthread.Mem_work
         {

@@ -33,7 +33,7 @@ module Arrivals = struct
 
   and schedule_next t ~epoch =
     let gap =
-      max 1 (int_of_float (Float.round (Dist.sample t.gap_dist t.rng)))
+      Int.max 1 (int_of_float (Float.round (Dist.sample t.gap_dist t.rng)))
     in
     if Sim.now t.sim + gap < t.until then
       ignore
@@ -99,7 +99,7 @@ let completion t packed =
       let arrived = packed land mask38 in
       if in_window t arrived then begin
         t.served <- t.served + 1;
-        Stats.Histogram.record t.latencies (max 0 (finished - arrived))
+        Stats.Histogram.record t.latencies (Int.max 0 (finished - arrived))
       end;
       let rid = packed lsr 38 in
       if rid > 0 && !Vessel_obs.Probe.req_on then
@@ -107,7 +107,7 @@ let completion t packed =
           ~track:Vessel_obs.Track.Engine)
 
 let sample_service t =
-  max 1 (int_of_float (Float.round (Dist.sample t.service t.rng)))
+  Int.max 1 (int_of_float (Float.round (Dist.sample t.service t.rng)))
 
 let claim packed =
   (* Hand the popped request's context to the uthread about to serve it. *)
@@ -224,12 +224,12 @@ let start_bursty t ~base_rps ~burst_rps ~burst_len ~period ~until =
     invalid_arg "Openloop.start_bursty: need 0 < burst_len < period";
   let rec phase sim =
     if Sim.now sim < until then begin
-      start t ~rate_rps:burst_rps ~until:(min until (Sim.now sim + burst_len));
+      start t ~rate_rps:burst_rps ~until:(Int.min until (Sim.now sim + burst_len));
       ignore
         (Sim.schedule_after sim ~delay:burst_len (fun sim ->
              if Sim.now sim < until then begin
                start t ~rate_rps:base_rps
-                 ~until:(min until (Sim.now sim + period - burst_len));
+                 ~until:(Int.min until (Sim.now sim + period - burst_len));
                ignore
                  (Sim.schedule_after sim ~delay:(period - burst_len) phase)
              end))

@@ -85,6 +85,142 @@ let test_rng_shuffle_permutation () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "permutation" (Array.init 50 Fun.id) sorted
 
+(* The first 64 outputs of [int64], [float] and [int _ 1000] from a fresh
+   generator, for two seeds, recorded before the state moved from a
+   boxed [mutable int64] field to unboxed bytes: every simulation result
+   depends on this stream, so the representation must not move a bit.
+   Floats are hex literals, exact to the last bit. *)
+let rng_pins =
+  [
+    ( 42,
+      [|
+        0x989b3f130a063869L; 0x290db4bf2570ded7L; 0x2a990be63a01b2d5L;
+        0x0c4b6b24ef01890eL; 0xfb16a06e52ec10a7L; 0x3c30fc5fd50692c3L;
+        0x4782c4b4c4fdf7c9L; 0x272404a0a3926552L; 0xc2bc249e28760ccdL;
+        0x3e69c285108dbb77L; 0xc3b2b51fc61ec914L; 0xe2df09f8ccf26f14L;
+        0xe664fb166d3dc14cL; 0x1494766cf71b64b6L; 0x09b78fbf46485568L;
+        0xda9e8d784db0c8f7L; 0x1158ab517a8ca0d3L; 0x394f8bb12fc92c37L;
+        0x1633bb32a8a81b0aL; 0xaa1d5be576d44e89L; 0x56f1a2422b95b9b3L;
+        0x3af1eb79c66a559fL; 0x8e040e54f7592ee8L; 0x6d94a674c34b9739L;
+        0x771b665074d680e9L; 0xf3e574517c5eedb8L; 0x1d23fbdef237f1ccL;
+        0xa4b67120e03c4d22L; 0xf39c32800a3a496aL; 0x051953672e4acbbcL;
+        0x11d94b400fa88703L; 0x92c6c2e1375c96acL; 0x326a884f2f1dac39L;
+        0x5e67829d4e432baeL; 0x5cd221d8b9ba24b6L; 0xf4c91ae0d30534afL;
+        0x81d3b5e6f3c30601L; 0x627574470bcad1e1L; 0x76ebaf2cd768671aL;
+        0xb611c33398fd898dL; 0x8e2eb3392826cf15L; 0xcf59e55818ecd106L;
+        0x4b709a336f13ae86L; 0x9b9a3211a8dacdccL; 0x34d3a61578c85356L;
+        0xda5935709ee1b6bfL; 0x75d65d6e374eee3fL; 0x653524c0e06b639cL;
+        0xdd342e643df19aedL; 0x457443983f29cfbdL; 0xb4b9000cd3a9692cL;
+        0x0cd0813db2ca7cd9L; 0x7604f15ce51d0d06L; 0x50d1ce4ba35f80e4L;
+        0xa8fd2f5c35ac4bb9L; 0xc2c45025f895b1faL; 0xa41764c5aeefbfbdL;
+        0x021be35babed7ac6L; 0xb5d6af4f1ab5fb18L; 0x063ecf9f68cee4e4L;
+        0x5d6df7d13bc9bffcL; 0x51fa1891bade803aL; 0xf66d0801efb25d9bL;
+        0x08b30baa09bf6ad6L;
+      |],
+      [|
+        0x1.31367e26140c7p-1; 0x1.486da5f92b86cp-3; 0x1.54c85f31d00d8p-3;
+        0x1.896d649de031p-5; 0x1.f62d40dca5d82p-1; 0x1.e187e2fea8348p-3;
+        0x1.1e0b12d313f7cp-2; 0x1.392025051c93p-3; 0x1.8578493c50ec1p-1;
+        0x1.f34e1428846dcp-3; 0x1.87656a3f8c3d9p-1; 0x1.c5be13f199e4dp-1;
+        0x1.ccc9f62cda7b8p-1; 0x1.494766cf71b6p-4; 0x1.36f1f7e8c90ap-5;
+        0x1.b53d1af09b619p-1; 0x1.158ab517a8cap-4; 0x1.ca7c5d897e494p-3;
+        0x1.633bb32a8a818p-4; 0x1.543ab7caeda89p-1; 0x1.5bc68908ae56ep-2;
+        0x1.d78f5bce33528p-3; 0x1.1c081ca9eeb25p-1; 0x1.b65299d30d2e4p-2;
+        0x1.dc6d9941d35ap-2; 0x1.e7cae8a2f8bddp-1; 0x1.d23fbdef237fp-4;
+        0x1.496ce241c0789p-1; 0x1.e738650014749p-1; 0x1.4654d9cb92b2p-6;
+        0x1.1d94b400fa88p-4; 0x1.258d85c26eb92p-1; 0x1.9354427978ed4p-3;
+        0x1.799e0a75390cap-2; 0x1.73488762e6e88p-2; 0x1.e99235c1a60a6p-1;
+        0x1.03a76bcde786p-1; 0x1.89d5d11c2f2b4p-2; 0x1.dbaebcb35da18p-2;
+        0x1.6c23866731fb1p-1; 0x1.1c5d6672504d9p-1; 0x1.9eb3cab031d9ap-1;
+        0x1.2dc268cdbc4eap-2; 0x1.3734642351b59p-1; 0x1.a69d30abc6428p-3;
+        0x1.b4b26ae13dc36p-1; 0x1.d75975b8dd3bap-2; 0x1.94d4930381ad8p-2;
+        0x1.ba685cc87be33p-1; 0x1.15d10e60fca72p-2; 0x1.69720019a752dp-1;
+        0x1.9a1027b6594fp-5; 0x1.d813c57394742p-2; 0x1.4347392e8d7ep-2;
+        0x1.51fa5eb86b589p-1; 0x1.8588a04bf12b6p-1; 0x1.482ec98b5ddf7p-1;
+        0x1.0df1add5f6bcp-7; 0x1.6bad5e9e356bfp-1; 0x1.8fb3e7da33b8p-6;
+        0x1.75b7df44ef26ep-2; 0x1.47e86246eb7ap-2; 0x1.ecda1003df64bp-1;
+        0x1.1661754137edp-5;
+      |],
+      [|
+        570; 797; 285; 91; 889; 528; 122; 996; 195; 461; 61; 357;
+        723; 237; 138; 261; 468; 909; 554; 442; 132; 15; 82; 574;
+        922; 422; 811; 336; 378; 183; 64; 363; 510; 211; 117; 115;
+        560; 472; 502; 643; 221; 769; 777; 939; 893; 55; 575; 327;
+        819; 607; 619; 630; 665; 41; 486; 46; 319; 17; 974; 865;
+        679; 838; 814; 109;
+      |] );
+    ( 7,
+      [|
+        0x863b891f4c0abd4fL; 0x4d58fbd282eaf415L; 0xf0e521070cc03750L;
+        0xe21b503436e97f5bL; 0xa9e76cff841529f5L; 0x583825d25ace04f8L;
+        0x660295fd0c2fa166L; 0x9acd7389a1455c90L; 0xcfb7f0a0f435e0e6L;
+        0x16650ef5667a5bc0L; 0xe993e4ae36580724L; 0x2b90fb07db5f92c9L;
+        0xfe797cf8764fbb76L; 0x92b0f0dfdeeb4d50L; 0x40f91bf16147d9d9L;
+        0xcd2c744cbe97132bL; 0xbe96e7d756b2c642L; 0xfcc0b41fab6eb199L;
+        0x445cee5fef8b6e4eL; 0x02e94291eca46f5aL; 0x89006ffa71280960L;
+        0xc281f099031985b9L; 0xf91aaf827366dac6L; 0xfb6705751dd95f13L;
+        0xcc2c180959a3a9e7L; 0xef4a890da5db409dL; 0x62310a6c917ea0f7L;
+        0x455f480388216ad5L; 0x733013caeb329763L; 0x5d4b4f15c569c9aeL;
+        0x7bcbd56874fe7b0bL; 0x419cbdefa8736225L; 0x0626e1511c51d59eL;
+        0xed86210cd0ff4f80L; 0x8950dad3a97d10ecL; 0x41dd79f85c08da00L;
+        0x9691454fbc3123b5L; 0x2a0cfcf91b570809L; 0x257f00acc6f6ddfcL;
+        0x54ec1e0f07133fb7L; 0xa3e537212da4c155L; 0x6b9992dba4480bfeL;
+        0x7e2986c5301ca089L; 0x7b2b640e3f59ee6bL; 0xd9143134f4e36d62L;
+        0x6fb5a7cc835849c8L; 0x310dd6660862a25fL; 0xad24405f76c09747L;
+        0x9e57f82382fe9130L; 0x1d3aea23d6f608feL; 0x6fb92994aec0cba3L;
+        0x5b215fac66698e9bL; 0x5a8ff43c491e27aeL; 0x945209d6ea48c5b0L;
+        0x31f9fb983b9fddf1L; 0xdf61d7fb865f4baeL; 0x281341dac2250a71L;
+        0x9a630d22e6d171e4L; 0xc3bcfbb1ee056cd5L; 0x120c347bf7ed4f32L;
+        0x982f3d1665bb9ac0L; 0x8d5e968c8bfc723aL; 0x3331f6392981d158L;
+        0x4905fcf504554af5L;
+      |],
+      [|
+        0x1.0c77123e98157p-1; 0x1.3563ef4a0babcp-2; 0x1.e1ca420e19806p-1;
+        0x1.c436a0686dd2fp-1; 0x1.53ced9ff082a5p-1; 0x1.60e097496b38p-2;
+        0x1.980a57f430be8p-2; 0x1.359ae713428abp-1; 0x1.9f6fe141e86bcp-1;
+        0x1.6650ef5667a58p-4; 0x1.d327c95c6cbp-1; 0x1.5c87d83edafc8p-3;
+        0x1.fcf2f9f0ec9f7p-1; 0x1.2561e1bfbdd69p-1; 0x1.03e46fc5851f6p-2;
+        0x1.9a58e8997d2e2p-1; 0x1.7d2dcfaead658p-1; 0x1.f981683f56dd6p-1;
+        0x1.1173b97fbe2dap-2; 0x1.74a148f65234p-7; 0x1.1200dff4e2501p-1;
+        0x1.8503e1320633p-1; 0x1.f2355f04e6cdbp-1; 0x1.f6ce0aea3bb2bp-1;
+        0x1.98583012b3475p-1; 0x1.de95121b4bb68p-1; 0x1.88c429b245fa8p-2;
+        0x1.157d200e2085ap-2; 0x1.ccc04f2bacca4p-2; 0x1.752d3c5715a72p-2;
+        0x1.ef2f55a1d3f9ep-2; 0x1.0672f7bea1cd8p-2; 0x1.89b854471474p-6;
+        0x1.db0c4219a1fe9p-1; 0x1.12a1b5a752fa2p-1; 0x1.0775e7e170236p-2;
+        0x1.2d228a9f78624p-1; 0x1.5067e7c8dab84p-3; 0x1.2bf8056637b6cp-3;
+        0x1.53b0783c1c4cep-2; 0x1.47ca6e425b498p-1; 0x1.ae664b6e91202p-2;
+        0x1.f8a61b14c0728p-2; 0x1.ecad9038fd67ap-2; 0x1.b2286269e9c6dp-1;
+        0x1.bed69f320d612p-2; 0x1.886eb3304315p-3; 0x1.5a4880beed812p-1;
+        0x1.3caff04705fd2p-1; 0x1.d3aea23d6f608p-4; 0x1.bee4a652bb032p-2;
+        0x1.6c857eb199a62p-2; 0x1.6a3fd0f124788p-2; 0x1.28a413add4918p-1;
+        0x1.8fcfdcc1dcfecp-3; 0x1.bec3aff70cbe9p-1; 0x1.409a0ed611284p-3;
+        0x1.34c61a45cda2ep-1; 0x1.8779f763dc0adp-1; 0x1.20c347bf7ed48p-4;
+        0x1.305e7a2ccb773p-1; 0x1.1abd2d1917f8ep-1; 0x1.998fb1c94c0e8p-3;
+        0x1.2417f3d411552p-2;
+      |],
+      [|
+        963; 181; 52; 718; 629; 526; 849; 468; 521; 536; 153; 90;
+        893; 516; 78; 34; 968; 510; 43; 310; 904; 254; 729; 732;
+        545; 743; 165; 269; 744; 307; 266; 409; 567; 464; 43; 272;
+        365; 490; 327; 541; 589; 431; 650; 106; 256; 490; 367; 113;
+        540; 879; 376; 318; 539; 348; 940; 683; 820; 25; 741; 284;
+        904; 454; 310; 573;
+      |] );
+  ]
+
+let test_rng_pinned_stream () =
+  List.iter
+    (fun (seed, int64s, floats, ints) ->
+      let draw f = let r = Rng.create ~seed in Array.init 64 (fun _ -> f r) in
+      Alcotest.(check (array int64))
+        (Printf.sprintf "int64 seed %d" seed) int64s (draw Rng.int64);
+      Alcotest.(check (array (float 0.)))
+        (Printf.sprintf "float seed %d" seed) floats (draw Rng.float);
+      Alcotest.(check (array int))
+        (Printf.sprintf "int seed %d" seed) ints
+        (draw (fun r -> Rng.int r 1000)))
+    rng_pins
+
 (* ------------------------------------------------------------------ *)
 (* Dist *)
 
@@ -536,6 +672,131 @@ let prop_eq_model (name, backend) =
           ok && Event_queue.length q = List.length !model)
         ops)
 
+(* Wheel summary words: after every step of a random add / tagged add /
+   cancel / pop / drain_batch sequence, each level's summary bit [w] must
+   be set iff occupancy word [w] is nonzero — [level_next] trusts the
+   summary to skip empty words. The queue under test runs in lockstep
+   with a heap-backed reference, so the same sequences also check that
+   the backends dispatch identically. *)
+
+type wq_op =
+  | W_add of int
+  | W_add_tagged of int
+  | W_cancel of int
+  | W_pop
+  | W_drain of int
+
+let wq_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map (fun t -> W_add t) eq_time_gen);
+        (4, map (fun t -> W_add_tagged t) eq_time_gen);
+        (3, map (fun i -> W_cancel i) (int_bound 80));
+        (2, return W_pop);
+        (2, map (fun t -> W_drain t) eq_time_gen);
+      ])
+
+let wq_op_print = function
+  | W_add t -> Printf.sprintf "W_add %d" t
+  | W_add_tagged t -> Printf.sprintf "W_add_tagged %d" t
+  | W_cancel i -> Printf.sprintf "W_cancel %d" i
+  | W_pop -> "W_pop"
+  | W_drain t -> Printf.sprintf "W_drain %d" t
+
+let wq_ops_arb =
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map wq_op_print ops))
+    QCheck.Gen.(list_size (int_bound 300) wq_op_gen)
+
+let prop_eq_summary (name, backend) =
+  QCheck.Test.make
+    ~name:
+      (Printf.sprintf "event_queue (%s) summary words track occupancy" name)
+    ~count:300 wq_ops_arb (fun ops ->
+      let mk b = (Event_queue.create ~backend:b (), ref []) in
+      let (q, log_q) = mk backend and (r, log_r) = mk Event_queue.Heap in
+      (* Every event logs (id, time), whichever path delivers it. *)
+      let deliver log = (fun time id -> log := (id, time) :: !log) in
+      let handlers log = [| (fun id time -> log := (id, time) :: !log) |] in
+      let hq = handlers log_q and hr = handlers log_r in
+      let handles = ref [||] and next_id = ref 0 in
+      let add tagged time =
+        let id = !next_id in
+        incr next_id;
+        let put q =
+          if tagged then Event_queue.add_tagged q ~time ~tag:0 ~a:id ~b:time
+          else Event_queue.add q ~time id
+        in
+        handles := Array.append !handles [| (put q, put r) |]
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | W_add t -> add false t
+          | W_add_tagged t -> add true t
+          | W_cancel k ->
+              let n = Array.length !handles in
+              if n > 0 then begin
+                let hq', hr' = !handles.(k mod n) in
+                Event_queue.cancel q hq';
+                Event_queue.cancel r hr'
+              end
+          | W_pop ->
+              let pop q log h =
+                Event_queue.pop_event q
+                  ~tagged:(fun _ _ a b -> h.(0) a b)
+                  ~closure:(deliver log)
+              in
+              ignore (pop q log_q hq);
+              ignore (pop r log_r hr)
+          | W_drain h ->
+              let drain q log hs =
+                Event_queue.drain_batch q ~horizon:h ~start:ignore ~handlers:hs
+                  (deliver log)
+              in
+              ignore (drain q log_q hq);
+              ignore (drain r log_r hr));
+          Event_queue.summary_consistent q
+          && !log_q = !log_r
+          && Event_queue.length q = Event_queue.length r)
+        ops)
+
+(* ------------------------------------------------------------------ *)
+(* Id_table *)
+
+let test_id_table () =
+  let t = Id_table.create () in
+  List.iter (fun (id, v) -> Id_table.set t id v) [ (300, "c"); (0, "a"); (7, "b") ];
+  Id_table.set t 7 "b'";
+  check_int "length counts ids, not sets" 3 (Id_table.length t);
+  Alcotest.(check (list int)) "ids ascending" [ 0; 7; 300 ] (Id_table.ids t);
+  Alcotest.(check (list (pair int string)))
+    "fold ascending"
+    [ (0, "a"); (7, "b'"); (300, "c") ]
+    (List.rev (Id_table.fold (fun id v acc -> (id, v) :: acc) t []));
+  List.iter
+    (fun id ->
+      check_bool (Printf.sprintf "unbound %d" id) true
+        (Id_table.find_opt t id = None && not (Id_table.mem t id)))
+    [ 1; 299; 301; -1; min_int; max_int ];
+  Id_table.remove t 7;
+  Id_table.remove t 7;
+  Id_table.remove t 5_000;
+  check_int "removed once" 2 (Id_table.length t);
+  check_bool "7 gone" false (Id_table.mem t 7);
+  List.iter
+    (fun id ->
+      check_bool (Printf.sprintf "set %d rejected" id) true
+        (try
+           Id_table.set t id "x";
+           false
+         with Invalid_argument _ -> true))
+    [ -1; Id_table.max_id + 1 ];
+  Id_table.clear t;
+  check_int "cleared" 0 (Id_table.length t);
+  check_bool "cleared lookup" true (Id_table.find_opt t 0 = None)
+
 (* ------------------------------------------------------------------ *)
 (* Sim *)
 
@@ -771,6 +1032,7 @@ let suite =
         Alcotest.test_case "bad bound" `Quick test_rng_int_rejects_bad_bound;
         Alcotest.test_case "shuffle is a permutation" `Quick
           test_rng_shuffle_permutation;
+        Alcotest.test_case "pinned stream" `Quick test_rng_pinned_stream;
       ] );
     ( "engine.dist",
       [
@@ -821,7 +1083,11 @@ let suite =
       ]
       @ List.map
           (fun b -> QCheck_alcotest.to_alcotest (prop_eq_model b))
+          eq_backends
+      @ List.map
+          (fun b -> QCheck_alcotest.to_alcotest (prop_eq_summary b))
           eq_backends );
+    ("engine.id_table", [ Alcotest.test_case "dense ids" `Quick test_id_table ]);
     ( "engine.sim",
       [
         Alcotest.test_case "runs in order" `Quick test_sim_runs_in_order;

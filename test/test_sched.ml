@@ -748,6 +748,76 @@ let test_vessel_slots_exhausted () =
       sys.S.Sched_intf.add_app
         { S.Sched_intf.id = 2; name = "b"; class_ = S.Sched_intf.Best_effort })
 
+(* Per-app state lives in dense tables indexed by app id. Sparse ids
+   (0, 7, 300) must each be served and billed under their own id, ids in
+   the gaps, past the end and out of range must raise the scheduler's
+   usual unknown-app error, and duplicates must still be rejected. *)
+let check_sparse_app_ids ~who (sim, machine, (sys : S.Sched_intf.system)) =
+  let lc0 = mini_app ~id:0 ~name:"lc0" ~class_:S.Sched_intf.Latency_critical in
+  let lc7 = mini_app ~id:7 ~name:"lc7" ~class_:S.Sched_intf.Latency_critical in
+  let be =
+    { S.Sched_intf.id = 300; name = "be300"; class_ = S.Sched_intf.Best_effort }
+  in
+  let burned = ref 0 in
+  List.iter sys.S.Sched_intf.add_app [ lc0.spec; lc7.spec; be ];
+  List.iter
+    (fun app ->
+      ignore
+        (sys.S.Sched_intf.add_worker ~app_id:app.spec.S.Sched_intf.id
+           ~name:app.spec.S.Sched_intf.name
+           ~step:(server_step app ~service:1_000)))
+    [ lc0; lc7 ];
+  ignore
+    (sys.S.Sched_intf.add_worker ~app_id:300 ~name:"burn"
+       ~step:(burner_step burned ~chunk:5_000));
+  sys.S.Sched_intf.start ();
+  for i = 1 to 20 do
+    inject sim sys lc0 ~at:(i * 20_000);
+    inject sim sys lc7 ~at:((i * 20_000) + 10_000)
+  done;
+  Sim.run_until sim 2_000_000;
+  sys.S.Sched_intf.stop ();
+  check_int "app 0 served" 20 lc0.served;
+  check_int "app 7 served" 20 lc7.served;
+  check_bool "app 300 ran" true (!burned > 0);
+  let acct = Stats.Cycle_account.create () in
+  for core = 0 to Hw.Machine.ncores machine - 1 do
+    Stats.Cycle_account.merge ~into:acct
+      (Hw.Core.account (Hw.Machine.core machine core))
+  done;
+  Alcotest.(check (list int)) "billed app ids" [ 0; 7; 300 ]
+    (Stats.Cycle_account.app_ids acct);
+  List.iter
+    (fun id ->
+      check_bool (Printf.sprintf "app %d billed" id) true
+        (Stats.Cycle_account.total acct (Stats.Cycle_account.App id) > 0))
+    [ 0; 7; 300 ];
+  List.iter
+    (fun id ->
+      let unknown = Invalid_argument (Printf.sprintf "%s: unknown app %d" who id) in
+      Alcotest.check_raises (Printf.sprintf "notify_app %d" id) unknown (fun () ->
+          sys.S.Sched_intf.notify_app ~app_id:id);
+      Alcotest.check_raises (Printf.sprintf "add_worker %d" id) unknown (fun () ->
+          ignore
+            (sys.S.Sched_intf.add_worker ~app_id:id ~name:"w"
+               ~step:(fun ~now:_ -> U.Uthread.Park))))
+    [ 1; 6; 8; 299; 301; -1; 1 lsl 40 ];
+  List.iter
+    (fun spec ->
+      Alcotest.check_raises
+        (Printf.sprintf "duplicate %d" spec.S.Sched_intf.id)
+        (Invalid_argument (who ^ ".add_app: duplicate app id"))
+        (fun () -> sys.S.Sched_intf.add_app { spec with name = "dup" }))
+    [ lc0.spec; lc7.spec; be ]
+
+let test_vessel_sparse_app_ids () =
+  let sim, machine, _, sys = mk_vessel ~cores:4 () in
+  check_sparse_app_ids ~who:"Vessel" (sim, machine, sys)
+
+let test_caladan_sparse_app_ids () =
+  let sim, machine, _, sys = mk_baseline ~cores:4 S.Baseline.caladan in
+  check_sparse_app_ids ~who:"Baseline" (sim, machine, sys)
+
 let suite =
   [
     ( "sched.vessel",
@@ -767,6 +837,7 @@ let suite =
         Alcotest.test_case "duplicate app rejected" `Quick
           test_vessel_duplicate_app;
         Alcotest.test_case "slots exhausted" `Quick test_vessel_slots_exhausted;
+        Alcotest.test_case "sparse app ids" `Quick test_vessel_sparse_app_ids;
       ] );
     ( "sched.caladan",
       [
@@ -780,6 +851,7 @@ let suite =
         Alcotest.test_case "Fig 3 stage sum" `Quick test_caladan_fig3_stage_sum;
         Alcotest.test_case "arachne reacts slowly" `Quick
           test_arachne_slow_reaction;
+        Alcotest.test_case "sparse app ids" `Quick test_caladan_sparse_app_ids;
       ] );
     ( "sched.cfs",
       [

@@ -295,6 +295,40 @@ let test_cycles_merge () =
   check_int "kernel" 12 (Cycle_account.total a Kernel);
   check_int "app3" 2 (Cycle_account.total a (App 3))
 
+(* App cells live in a dense table indexed by app id: sparse ids must
+   still list in ascending order, a zero charge still registers its id,
+   and merge must add cell by cell with no id lost or shifted. *)
+let test_cycles_sparse_ids () =
+  let a = Cycle_account.create () and b = Cycle_account.create () in
+  Cycle_account.charge a (App 300) 11;
+  Cycle_account.charge_app a 0 3;
+  Cycle_account.charge a (App 7) 0;
+  Cycle_account.charge_app a 300 1;
+  Alcotest.(check (list int)) "ids sorted" [ 0; 7; 300 ]
+    (Cycle_account.app_ids a);
+  check_int "app300" 12 (Cycle_account.total a (App 300));
+  check_int "unknown id" 0 (Cycle_account.total a (App 299));
+  check_int "negative id" 0 (Cycle_account.total a (App (-1)));
+  Cycle_account.charge b (App 7) 5;
+  Cycle_account.charge b (App 1000) 9;
+  Cycle_account.charge b Runtime 2;
+  Cycle_account.merge ~into:a b;
+  Alcotest.(check (list int)) "merged ids" [ 0; 7; 300; 1000 ]
+    (Cycle_account.app_ids a);
+  List.iter
+    (fun (id, want) ->
+      check_int (Printf.sprintf "app%d" id) want (Cycle_account.total a (App id)))
+    [ (0, 3); (7, 5); (300, 12); (1000, 9) ];
+  check_int "app total" 29 (Cycle_account.app_total a);
+  check_int "grand" 31 (Cycle_account.grand_total a);
+  Alcotest.(check (list int)) "source untouched" [ 7; 1000 ]
+    (Cycle_account.app_ids b);
+  Alcotest.check_raises "charge_app negative duration"
+    (Invalid_argument "Cycle_account.charge: negative duration") (fun () ->
+      Cycle_account.charge_app a 7 (-1));
+  Cycle_account.clear a;
+  Alcotest.(check (list int)) "cleared" [] (Cycle_account.app_ids a)
+
 let test_cycles_negative_rejected () =
   let c = Cycle_account.create () in
   Alcotest.check_raises "negative"
@@ -417,6 +451,7 @@ let suite =
         Alcotest.test_case "merge" `Quick test_cycles_merge;
         Alcotest.test_case "negative rejected" `Quick
           test_cycles_negative_rejected;
+        Alcotest.test_case "sparse app ids" `Quick test_cycles_sparse_ids;
       ] );
     ( "stats.timeline",
       [
