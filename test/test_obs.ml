@@ -52,6 +52,28 @@ let test_with_sink_scope () =
   check_int "only scoped event captured" 1 (Obs.Ring.length r);
   check_int "scoped ts" 7 (Obs.Event.ts (List.hd (Obs.Ring.to_list r)))
 
+(* Concurrent scopes: a domain leaving its scope must never switch the
+   gate off under another domain that is still inside one. Each domain
+   counts the moments it is inside a scope and sees the gate off. *)
+let test_with_sink_concurrent_scopes () =
+  let iters = 20_000 in
+  let worker () =
+    let r = Obs.Ring.create ~capacity:1 () in
+    let off = ref 0 in
+    for _ = 1 to iters do
+      Obs.Probe.with_sink (Obs.Ring.sink r) (fun () ->
+          if not !Obs.Probe.on then Stdlib.incr off;
+          if not !Obs.Probe.metrics_on then Stdlib.incr off;
+          if not !Obs.Probe.req_on then Stdlib.incr off)
+    done;
+    !off
+  in
+  let domains = List.init 3 (fun _ -> Domain.spawn worker) in
+  let here = worker () in
+  let off = List.fold_left (fun acc d -> acc + Domain.join d) here domains in
+  check_int "gate never off inside a scope" 0 off;
+  check_bool "gate off once every scope has left" false !Obs.Probe.on
+
 (* ------------------------------------------------------------------ *)
 (* Metrics: registry basics and the histogram-merge algebra. *)
 
@@ -225,6 +247,8 @@ let suite =
         Alcotest.test_case "ring wraps" `Quick test_ring_wraps;
         Alcotest.test_case "find/clear" `Quick test_ring_find_and_clear;
         Alcotest.test_case "with_sink scope" `Quick test_with_sink_scope;
+        Alcotest.test_case "with_sink concurrent scopes" `Quick
+          test_with_sink_concurrent_scopes;
       ] );
     ( "obs.metrics",
       [
