@@ -39,8 +39,21 @@ val zipf : s:float -> n:int -> t
 (** Zipf popularity over ranks [0 .. n-1]: rank [r] is drawn with
     probability proportional to [(r+1)^-s]. Samples are integral ranks
     returned as floats; [s = 0] is uniform, [s ~ 1] the classic skew of
-    cache/key-popularity traces. Construction is O(n) (a cumulative
-    table), sampling O(log n) — build once, share the value. *)
+    cache/key-popularity traces. The O(n) cumulative table is built once
+    per [(s, n)] per process: later calls with an equal [(s, n)], from
+    any domain, return the same physical value. A draw is one uniform, a
+    lookup in a 2{^16}-bucket guide table and a binary search inside the
+    bucket's few ranks. *)
+
+val zipf_rank : t -> float -> int
+(** [zipf_rank d u] is the rank that uniform [u] in [\[0, 1\]] selects from
+    Zipf [d]: the smallest rank whose cumulative mass is [>= u], or
+    [n-1] if none is. [sample] returns it for [u = Rng.float]. Raises
+    [Invalid_argument] if [d] is not a Zipf. *)
+
+val zipf_cdf : t -> float array
+(** A copy of Zipf [d]'s cumulative table: entry [r] is the probability
+    of a rank [<= r]. Raises [Invalid_argument] if [d] is not a Zipf. *)
 
 val sample : t -> Rng.t -> float
 

@@ -3,7 +3,14 @@
     Maps page numbers to entries (permission bits + MPK tag). The manager
     populates it via {!map_range} (mmap) and retags via
     {!pkey_protect_range} (pkey_mprotect). Every simulated load/store/fetch
-    goes through {!access}. *)
+    goes through {!access}.
+
+    Pages are held as sorted, disjoint page ranges, each with one entry,
+    as SMAS maps whole regions: a table holds tens of ranges however many
+    pages it maps, so mapping a 64 MiB region costs the same as mapping
+    one page. The four range operations rebuild the range set in
+    O(ranges); a lookup compares against the last range hit and, on a
+    miss, binary-searches the ranges. The semantics are per page. *)
 
 type t
 

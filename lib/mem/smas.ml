@@ -137,14 +137,11 @@ let release_range t ~addr ~len =
     t.last_b <- Bytes.empty;
     let first = Page.number_of_addr addr
     and last = Page.number_of_addr (addr + len - 1) in
-    for n = first to last do
-      Hashtbl.remove t.store n
-    done;
-    (* Unmap page by page: the range may be partially mapped. *)
-    for n = first to last do
-      if Page_table.lookup t.pt ~addr:(Page.base_of_number n) <> None then
-        Page_table.unmap_range t.pt ~addr:(Page.base_of_number n) ~len:1
-    done
+    Hashtbl.filter_map_inplace
+      (fun n b -> if n >= first && n <= last then None else Some b)
+      t.store;
+    (* The range may be partially mapped; unmapping tolerates holes. *)
+    Page_table.unmap_range t.pt ~addr ~len
   end
 
 let detach_slot_data t i = Hashtbl.remove t.attached i

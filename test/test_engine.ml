@@ -292,6 +292,87 @@ let test_dist_invalid_args () =
     (Invalid_argument "Dist.lognormal_of_quantiles: need 0 < p50 < p999")
     (fun () -> ignore (Dist.lognormal_of_quantiles ~p50:10. ~p999:5.))
 
+(* Zipf: the guide-table draw must pick exactly the rank a plain binary
+   search over the whole cumulative table picks. *)
+let full_search cdf u =
+  let lo = ref 0 and hi = ref (Array.length cdf - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if cdf.(mid) < u then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+let test_zipf_guide_exact () =
+  List.iter
+    (fun (s, n) ->
+      let d = Dist.zipf ~s ~n in
+      let cdf = Dist.zipf_cdf d in
+      let agree what u =
+        let want = full_search cdf u and got = Dist.zipf_rank d u in
+        if want <> got then
+          Alcotest.failf "s=%g n=%d %s u=%h: guide %d, full search %d" s n what
+            u got want
+      in
+      let rng = Rng.create ~seed:11 in
+      for _ = 1 to 1_000_000 do
+        agree "random" (Rng.float rng)
+      done;
+      for r = 0 to Int.min 999 (n - 1) do
+        agree "cdf head" cdf.(r);
+        agree "cdf tail" cdf.(n - 1 - r)
+      done;
+      agree "zero" 0.;
+      agree "pred 1" (Float.pred 1.))
+    [ (1.1, 1_000_000); (0., 1000); (0.99, 3); (2.5, 70_000) ]
+
+(* Recorded from the two-pass table and full-array search this
+   replaced. *)
+let zipf_pins =
+  [
+    ( 42,
+    [| 243; 1; 1; 0; 549730; 3; 5; 1; 3329; 3; 3566; 44312; 61589; 0; 0;
+      21329; 0; 3; 0; 665; 10; 3; 138; 28; 44; 243040; 0; 482; 235589; 0; 0;
+      177; 2; 14; 13; 267898; 74; 17; 44; 1407; 139; 8506; 6; 286; 2; 20842;
+      42; 19; 26666; 5; 1290; 0; 42; 8; 621; 3337; 465; 0; 1386; 0; 14; 8;
+      321426; 0 |] );
+    ( 7,
+    [| 93; 7; 176159; 41315; 656; 11; 20; 274; 8754; 0; 83727; 1; 827216; 176;
+      4; 7189; 2491; 670614; 5; 0; 106; 3276; 435946; 570567; 6659; 148941;
+      17; 5; 37; 14; 55; 4; 0; 124191; 108; 4; 217; 1; 1; 9; 459; 26; 62; 54;
+      18715; 31; 2; 799; 334; 0; 31; 12; 12; 192; 2; 32316; 1; 268; 3576; 0;
+      237; 133; 2; 6 |] );
+  ]
+
+let test_zipf_pinned () =
+  let d = Dist.zipf ~s:1.1 ~n:1_000_000 in
+  List.iter
+    (fun (seed, want) ->
+      let r = Rng.create ~seed in
+      let got = Array.init 64 (fun _ -> int_of_float (Dist.sample d r)) in
+      Alcotest.(check (array int)) (Printf.sprintf "seed %d" seed) want got)
+    zipf_pins;
+  Alcotest.(check int64) "mean bits" 4674984443716267899L
+    (Int64.bits_of_float (Dist.mean d))
+
+let test_zipf_memo () =
+  let a = Dist.zipf ~s:0.8 ~n:5000 in
+  check_bool "equal (s, n) shared" true (a == Dist.zipf ~s:0.8 ~n:5000);
+  check_bool "other s distinct" false (a == Dist.zipf ~s:0.81 ~n:5000);
+  check_bool "other n distinct" false (a == Dist.zipf ~s:0.8 ~n:5001);
+  (* Two domains racing to build one fresh (s, n) get one value. *)
+  let go = Atomic.make false in
+  let build () =
+    while not (Atomic.get go) do
+      Domain.cpu_relax ()
+    done;
+    Dist.zipf ~s:0.77 ~n:300_000
+  in
+  let d1 = Domain.spawn build and d2 = Domain.spawn build in
+  Atomic.set go true;
+  let x = Domain.join d1 and y = Domain.join d2 in
+  check_bool "concurrent builds shared" true (x == y);
+  check_bool "later call shared" true (x == Dist.zipf ~s:0.77 ~n:300_000)
+
 (* ------------------------------------------------------------------ *)
 (* Event_queue *)
 
@@ -1046,6 +1127,9 @@ let suite =
         Alcotest.test_case "shifted" `Quick test_dist_shifted;
         Alcotest.test_case "pareto" `Quick test_dist_pareto_positive;
         Alcotest.test_case "invalid args" `Quick test_dist_invalid_args;
+        Alcotest.test_case "zipf guide table exact" `Quick test_zipf_guide_exact;
+        Alcotest.test_case "zipf pinned draws and mean" `Quick test_zipf_pinned;
+        Alcotest.test_case "zipf memo shares equal (s, n)" `Quick test_zipf_memo;
       ] );
     ( "engine.event_queue",
       [

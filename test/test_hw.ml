@@ -206,6 +206,173 @@ let test_pt_protect_keeps_key () =
         (e.Page.prot.Page.exec && not e.Page.prot.Page.read)
   | None -> Alcotest.fail "unmapped"
 
+(* Differential: the range page table against the per-page model it
+   replaced (one hash entry per page). *)
+module Ref_pt = struct
+  type t = (int, Page.entry) Hashtbl.t
+
+  let span ~addr ~len =
+    if len <= 0 then invalid_arg "Page_table: len must be positive";
+    if addr < 0 then invalid_arg "Page_table: negative address";
+    (Page.number_of_addr addr, Page.number_of_addr (addr + len - 1))
+
+  let map_range t ~addr ~len ~prot ~pkey =
+    let first, last = span ~addr ~len in
+    for n = first to last do
+      Hashtbl.replace t n { Page.prot; pkey }
+    done
+
+  let unmap_range t ~addr ~len =
+    let first, last = span ~addr ~len in
+    for n = first to last do
+      Hashtbl.remove t n
+    done
+
+  let update_range name t ~addr ~len f =
+    let first, last = span ~addr ~len in
+    for n = first to last do
+      if not (Hashtbl.mem t n) then
+        invalid_arg
+          (Printf.sprintf "%s: page %d (addr 0x%x) not mapped" name n
+             (Page.base_of_number n))
+    done;
+    for n = first to last do
+      Hashtbl.replace t n (f (Hashtbl.find t n))
+    done
+
+  let lookup t ~addr = Hashtbl.find_opt t (Page.number_of_addr addr)
+
+  let access t ~pkru ~addr kind =
+    match lookup t ~addr with
+    | None -> Error Page.Not_mapped
+    | Some e -> Page.check e ~pkru kind
+
+  let access_range t ~pkru ~addr ~len kind =
+    let first, last = span ~addr ~len in
+    let rec go n =
+      if n > last then Ok ()
+      else
+        let page_addr = Int.max addr (Page.base_of_number n) in
+        match access t ~pkru ~addr:page_addr kind with
+        | Ok () -> go (n + 1)
+        | Error f -> Error (page_addr, f)
+    in
+    go first
+end
+
+type pt_op =
+  | Map of int * int * int * int (* addr, len, prot index, key *)
+  | Unmap of int * int
+  | Protect of int * int * int
+  | Pkey_protect of int * int * int
+
+let pt_prots = [| Page.prot_none; Page.prot_r; Page.prot_rw; Page.prot_rx; Page.prot_x |]
+let pt_space_pages = 48
+
+let pt_op_gen =
+  let open QCheck.Gen in
+  (* Page-aligned and unaligned starts over a small space, so ranges
+     overlap, abut and nest often. *)
+  let addr =
+    map2 (fun p off -> (p * Page.size) + off) (int_bound (pt_space_pages - 1))
+      (oneofl [ 0; 0; 1; 2047; Page.size - 1 ])
+  in
+  let len =
+    map2 (fun p off -> Int.max 1 ((p * Page.size) + off)) (int_bound 12)
+      (oneofl [ 0; 0; 1; 100; Page.size - 1 ])
+  in
+  let key = int_range 1 4 and prot = int_bound (Array.length pt_prots - 1) in
+  frequency
+    [
+      (4, map (fun (a, l, p, k) -> Map (a, l, p, k)) (quad addr len prot key));
+      (2, map2 (fun a l -> Unmap (a, l)) addr len);
+      (2, map (fun (a, l, p) -> Protect (a, l, p)) (triple addr len prot));
+      (2, map (fun (a, l, k) -> Pkey_protect (a, l, k)) (triple addr len key));
+    ]
+
+let pt_op_print = function
+  | Map (a, l, p, k) -> Printf.sprintf "map 0x%x+%d prot%d key%d" a l p k
+  | Unmap (a, l) -> Printf.sprintf "unmap 0x%x+%d" a l
+  | Protect (a, l, p) -> Printf.sprintf "protect 0x%x+%d prot%d" a l p
+  | Pkey_protect (a, l, k) -> Printf.sprintf "pkey_protect 0x%x+%d key%d" a l k
+
+let pt_pkrus =
+  [
+    Pkru.all_denied;
+    Pkru.make [ (Pkey.of_int 1, Pkru.Read_write); (Pkey.of_int 2, Pkru.Read_only) ];
+    Pkru.make
+      (List.init 4 (fun k -> (Pkey.of_int (k + 1), Pkru.Read_write)));
+  ]
+
+let pt_kinds = [ Page.Read; Page.Write; Page.Fetch ]
+
+(* Every observable of the two tables agrees: lookup and access on each
+   page, access_range from each page start over short and long spans,
+   and the page count. *)
+let pt_agree pt model =
+  let ok = ref (Page_table.mapped_pages pt = Hashtbl.length model) in
+  for p = 0 to pt_space_pages + 14 do
+    let addr = (p * Page.size) + 5 in
+    ok := !ok && Page_table.lookup pt ~addr = Ref_pt.lookup model ~addr;
+    List.iter
+      (fun pkru ->
+        List.iter
+          (fun kind ->
+            ok :=
+              !ok
+              && Page_table.access pt ~pkru ~addr kind
+                 = Ref_pt.access model ~pkru ~addr kind;
+            List.iter
+              (fun len ->
+                ok :=
+                  !ok
+                  && Page_table.access_range pt ~pkru ~addr ~len kind
+                     = Ref_pt.access_range model ~pkru ~addr ~len kind)
+              [ 1; Page.size; 3 * Page.size; 17 * Page.size ])
+          pt_kinds)
+      pt_pkrus
+  done;
+  !ok
+
+let outcome f = match f () with () -> Ok () | exception Invalid_argument m -> Error m
+
+let prop_pt_differential =
+  QCheck.Test.make ~name:"page table: ranges agree with per-page model"
+    ~count:300
+    (QCheck.make
+       ~print:QCheck.Print.(list pt_op_print)
+       QCheck.Gen.(list_size (int_range 1 25) pt_op_gen))
+    (fun ops ->
+      let pt = Page_table.create () and model = Hashtbl.create 64 in
+      List.for_all
+        (fun op ->
+          let got, want =
+            match op with
+            | Map (addr, len, p, k) ->
+                let prot = pt_prots.(p) and pkey = Pkey.of_int k in
+                ( outcome (fun () -> Page_table.map_range pt ~addr ~len ~prot ~pkey),
+                  outcome (fun () -> Ref_pt.map_range model ~addr ~len ~prot ~pkey) )
+            | Unmap (addr, len) ->
+                ( outcome (fun () -> Page_table.unmap_range pt ~addr ~len),
+                  outcome (fun () -> Ref_pt.unmap_range model ~addr ~len) )
+            | Protect (addr, len, p) ->
+                let prot = pt_prots.(p) in
+                ( outcome (fun () -> Page_table.protect_range pt ~addr ~len ~prot),
+                  outcome (fun () ->
+                      Ref_pt.update_range "Page_table.protect_range" model ~addr
+                        ~len (fun e -> { e with Page.prot })) )
+            | Pkey_protect (addr, len, k) ->
+                let pkey = Pkey.of_int k in
+                ( outcome (fun () -> Page_table.pkey_protect_range pt ~addr ~len ~pkey),
+                  outcome (fun () ->
+                      Ref_pt.update_range "Page_table.pkey_protect_range" model
+                        ~addr ~len (fun e -> { e with Page.pkey })) )
+          in
+          (* A rejected protect leaves both tables as they were, which
+             [pt_agree] then sees. *)
+          got = want && pt_agree pt model)
+        ops)
+
 (* ------------------------------------------------------------------ *)
 (* Uintr *)
 
@@ -474,6 +641,7 @@ let suite =
         Alcotest.test_case "range fault address" `Quick
           test_pt_access_range_reports_fault_addr;
         Alcotest.test_case "mprotect keeps key" `Quick test_pt_protect_keeps_key;
+        QCheck_alcotest.to_alcotest prop_pt_differential;
       ] );
     ( "hw.uintr",
       [

@@ -187,6 +187,57 @@ let test_smas_cross_page_write () =
   | Ok b -> Alcotest.(check string) "cross-page read" "abcdefgh" (Bytes.to_string b)
   | Error _ -> Alcotest.fail "read failed"
 
+(* Reclaim path: releasing slot 1's data region after its first pages
+   were already released, so the range spans a hole and a mapped part,
+   between two live neighbours (slot data regions are contiguous). *)
+let test_smas_release_hole_and_region () =
+  let s = mk_smas 3 in
+  List.iter (Smas.attach_slot_data s) [ 0; 1; 2 ];
+  let l = Smas.layout s and pt = Smas.page_table s in
+  let rt = Smas.pkru_runtime s in
+  let d0 = Layout.slot_data l 0
+  and d1 = Layout.slot_data l 1
+  and d2 = Layout.slot_data l 2 in
+  let put addr str =
+    check_bool "write" true (Smas.write s ~pkru:rt ~addr (Bytes.of_string str) = Ok ())
+  in
+  let get addr len =
+    match Smas.read s ~pkru:rt ~addr ~len with
+    | Ok b -> Bytes.to_string b
+    | Error _ -> Alcotest.fail "read faulted"
+  in
+  List.iter
+    (fun (r : Region.t) ->
+      put r.Region.base "head!";
+      put (Region.end_ r - 5) "tail!")
+    [ d0; d1; d2 ];
+  let page = Hw.Page.size and before = Hw.Page_table.mapped_pages pt in
+  Smas.release_range s ~addr:d1.Region.base ~len:(16 * page);
+  check_int "hole of 16 pages" (before - 16) (Hw.Page_table.mapped_pages pt);
+  Smas.release_range s ~addr:d1.Region.base ~len:d1.Region.len;
+  check_int "only slot 1 data unmapped"
+    (before - (d1.Region.len / page))
+    (Hw.Page_table.mapped_pages pt);
+  check_bool "slot 1 data gone" true
+    (Hw.Page_table.lookup pt ~addr:(Region.end_ d1 - 1) = None);
+  List.iter
+    (fun (r : Region.t) ->
+      check_bool (r.Region.name ^ " still mapped") true
+        (Hw.Page_table.lookup pt ~addr:r.Region.base <> None
+        && Hw.Page_table.lookup pt ~addr:(Region.end_ r - 1) <> None);
+      Alcotest.(check string) (r.Region.name ^ " head kept") "head!"
+        (get r.Region.base 5);
+      Alcotest.(check string) (r.Region.name ^ " tail kept") "tail!"
+        (get (Region.end_ r - 5) 5))
+    [ d0; d2 ];
+  Smas.detach_slot_data s 1;
+  Smas.attach_slot_data s 1;
+  check_int "remapped" before (Hw.Page_table.mapped_pages pt);
+  Alcotest.(check string) "fresh head zeroed" "\000\000\000\000\000"
+    (get d1.Region.base 5);
+  Alcotest.(check string) "fresh tail zeroed" "\000\000\000\000\000"
+    (get (Region.end_ d1 - 5) 5)
+
 (* ------------------------------------------------------------------ *)
 (* Allocator *)
 
@@ -510,6 +561,8 @@ let suite =
         Alcotest.test_case "unattached slot unmapped" `Quick
           test_smas_unattached_faults;
         Alcotest.test_case "cross-page access" `Quick test_smas_cross_page_write;
+        Alcotest.test_case "release over a hole and a region" `Quick
+          test_smas_release_hole_and_region;
       ] );
     ( "mem.allocator",
       [
