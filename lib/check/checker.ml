@@ -302,9 +302,10 @@ let on_instant t ~ts ~track ~name ~args =
         if until > t.cl_horizon then t.cl_horizon <- until
     | _ -> ())
   else if String.equal name Tag.cluster_deliver then (
-    (* A cross-machine message flushed at the barrier must land strictly
-       after everything this machine already executed, and its link must
-       honor the lookahead bound. *)
+    (* A cross-machine message delivered after the barrier (before this
+       machine's next epoch) must land strictly after everything this
+       machine already executed, and its link must honor the lookahead
+       bound. *)
     match (arg_int args "sent", arg_int args "arrival") with
     | Some sent, Some arrival ->
         if arrival <= t.cl_horizon then

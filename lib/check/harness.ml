@@ -149,7 +149,7 @@ let run_gate ~seed ~profile ~checker () =
 (* A small fleet: a frontend machine load-balancing a memcached-class
    service over VESSEL backends, faults injected on every backend. One
    checker per machine — installed as the cluster scope, so each
-   machine's probe stream (including barrier-time link deliveries) is
+   machine's probe stream (including its inbound link deliveries) is
    validated in isolation and the new causality invariant sees exactly
    its own machine's epochs. Runs inside a sweep point, so the cluster
    itself runs sequentially (a nested pool map would anyway). *)

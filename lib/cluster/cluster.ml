@@ -6,10 +6,13 @@
    every machine to B' <= B + L. A cross-machine message sent at time
    s (B < s <= B') over a link of latency l >= L arrives at
    s + l >= B + 1 + L >= B' + 1 — strictly after the epoch being
-   executed. So delivering at the barrier (into the destination wheel,
+   executed. So delivering between epochs (into the destination wheel,
    never mid-epoch) can never schedule into a machine's executed past,
    and machines within an epoch share no state at all: one domain per
-   machine is safe and byte-identical to sequential execution. *)
+   machine is safe and byte-identical to sequential execution. The
+   barrier itself only hands each link's outboxes to their destinations;
+   each destination delivers its own inbox at the start of its next
+   epoch job, so delivery runs in parallel too. *)
 
 module Sim = Vessel_engine.Sim
 module Rng = Vessel_engine.Rng
@@ -26,15 +29,21 @@ type machine = {
   mutable marked : bool;
 }
 
+(* One Net link as the cluster sees it: [stage] hands every outbox to
+   its destination's inbox (barrier, coordinator); [drain m ~at]
+   delivers machine m's inbox into its wheel (inside m's scope, on
+   whichever domain runs m). *)
+type port = { stage : unit -> unit; drain : int -> at:int -> unit }
+
 type t = {
   ms : machine array;
   la : int;
   mutable barrier : int;
   mutable n_epochs : int;
   mutable scope : (int -> (unit -> unit) -> unit) option;
-  (* Barrier-time flushers, registered by Net.link. Stored reversed;
-     run in creation order. *)
-  mutable flushers : (until:int -> unit) list;
+  (* Net links, registered by Net.link. Stored reversed; staged and
+     drained in creation order. *)
+  mutable ports : port list;
   (* Attribution sink: machine id = lane, recorder installed around
      every machine scope so request stamps land in per-machine buffers
      (single writer per lane, serialized by the epoch barrier). *)
@@ -67,7 +76,7 @@ let create ?(seed = 42) ?machine_seeds ~machines ~lookahead () =
     barrier = 0;
     n_epochs = 0;
     scope = None;
-    flushers = [];
+    ports = [];
     attrib = None;
   }
 
@@ -94,7 +103,8 @@ let set_scope t scope =
   | None -> ());
   t.scope <- Some scope
 
-let register_flusher t fl = t.flushers <- fl :: t.flushers
+let register_link t ~stage ~drain = t.ports <- { stage; drain } :: t.ports
+
 let set_attrib t a = t.attrib <- Some a
 
 let with_lane t m f =
@@ -124,9 +134,17 @@ let ensure_scope t =
       t.scope <- Some s;
       s
 
-let run_machine t scope epoch_end m =
+(* Deliveries staged at the last barrier, in link-creation order; each
+   link drains senders in machine order, then send order. *)
+let drain_inbox ports m ~at =
+  for i = 0 to Array.length ports - 1 do
+    ports.(i).drain m ~at
+  done
+
+let run_machine t scope ports epoch_start epoch_end m =
   scope m.id (fun () ->
       with_lane t m.id @@ fun () ->
+      drain_inbox ports m.id ~at:epoch_start;
       if !Obs.Probe.on then begin
         if not m.marked then begin
           m.marked <- true;
@@ -148,19 +166,25 @@ let run_until ?(domains = 1) t horizon =
     invalid_arg "Cluster.run_until: horizon is in the past";
   let scope = ensure_scope t in
   let jobs = Array.to_list t.ms in
-  let flushers = List.rev t.flushers in
+  let ports = Array.of_list (List.rev t.ports) in
   while t.barrier < horizon do
+    let epoch_start = t.barrier in
     let epoch_end = min (t.barrier + t.la) horizon in
     t.n_epochs <- t.n_epochs + 1;
-    if domains <= 1 then List.iter (run_machine t scope epoch_end) jobs
-    else ignore (Pool.map ~domains (run_machine t scope epoch_end) jobs);
-    (* Barrier: flush cross-machine sends on the coordinating domain, in
-       link-creation order (each flusher drains senders in machine
-       order) — fully deterministic, independent of -j. *)
-    List.iter (fun fl -> fl ~until:epoch_end) flushers;
+    if domains <= 1 then
+      List.iter (run_machine t scope ports epoch_start epoch_end) jobs
+    else
+      ignore
+        (Pool.map ~domains (run_machine t scope ports epoch_start epoch_end) jobs);
+    (* Barrier: at most machines^2 list moves per link, no per-message work;
+       the Pool.map join orders every job's sends before it. *)
+    Array.iter (fun p -> p.stage ()) ports;
     t.barrier <- epoch_end
-  done
-
-let scoped t m f =
-  check_id t m;
-  (ensure_scope t) m (fun () -> with_lane t m f)
+  done;
+  (* Final drain, so nothing the caller schedules before the next call
+     can get ahead of messages staged at the last barrier. *)
+  Array.iter
+    (fun m ->
+      scope m.id (fun () ->
+          with_lane t m.id (fun () -> drain_inbox ports m.id ~at:t.barrier)))
+    t.ms

@@ -3,19 +3,22 @@
     A cluster owns N per-machine {!Vessel_engine.Sim.t} instances — each
     with its own timing wheel and its own RNG stream — and advances them
     in lockstep {e epochs} of conservative lookahead: every machine runs
-    independently to the epoch barrier, then cross-machine messages
-    collected during the epoch are flushed into their destination wheels
-    (see {!Net}). Because every {!Net} link's latency is at least the
-    cluster's [lookahead], a message sent during an epoch can only arrive
-    {e after} the barrier the epoch ran to — no machine ever needs events
-    from a peer inside its own epoch, so epochs may execute one machine
-    per domain on the persistent {!Vessel_engine.Pool} with byte-identical
-    results at any worker count.
+    independently to the epoch barrier, the barrier hands cross-machine
+    messages collected during the epoch to their destinations, and each
+    destination schedules them into its own wheel at the start of its
+    next epoch job (see {!Net}). Because every {!Net} link's latency is
+    at least the cluster's [lookahead], a message sent during an epoch
+    can only arrive {e after} the barrier the epoch ran to — no machine
+    ever needs events from a peer inside its own epoch, so epochs (and
+    the deliveries that open them) may execute one machine per domain on
+    the persistent {!Vessel_engine.Pool} with byte-identical results at
+    any worker count.
 
     Determinism: machine seeds derive from the cluster seed in machine
     order; within an epoch each machine executes sequentially on one
-    domain; barriers flush links in creation order and senders in machine
-    order. Nothing observable depends on domain scheduling. *)
+    domain; each machine receives its messages in link-creation order,
+    then sender machine order, then send order. Nothing observable
+    depends on domain scheduling. *)
 
 type t
 
@@ -64,18 +67,27 @@ val set_attrib : t -> Vessel_obs.Attrib.t -> unit
     {!run_until}. *)
 
 val run_until : ?domains:int -> t -> Vessel_engine.Time.t -> unit
-(** Advance every machine to [horizon] in epochs of at most [lookahead],
-    flushing cross-machine messages at each barrier. [domains] (default
-    1) fans machines across the persistent pool, one domain per machine;
-    output is byte-identical at any value. *)
+(** Advance every machine to [horizon] in epochs of at most [lookahead].
+    Messages sent during an epoch are delivered by their destination
+    machine at the start of its next epoch job, and once more, for the
+    last barrier, before [run_until] returns: on return every message
+    sent during those epochs is in its destination's wheel.
+    [domains] (default 1) fans machines across the persistent pool, one
+    domain per machine; output is byte-identical at any value. *)
 
 (**/**)
 
-(* Wiring for {!Net} (same library) and tests — not a user API. *)
+(* Wiring for {!Net} (same library) — not a user API. *)
 
-val scoped : t -> int -> (unit -> unit) -> unit
-(** Run a thunk inside machine [m]'s scope (see {!set_scope}). *)
-
-val register_flusher : t -> (until:Vessel_engine.Time.t -> unit) -> unit
-(** Called by {!Net.link}: the flusher runs on the coordinating domain at
-    every barrier, in link-creation order. *)
+val register_link :
+  t ->
+  stage:(unit -> unit) ->
+  drain:(int -> at:Vessel_engine.Time.t -> unit) ->
+  unit
+(** Called by {!Net.link}. At every barrier the coordinating domain calls
+    [stage ()], which must move every outbox to its destination's inbox
+    without per-message work. [drain m ~at] delivers machine [m]'s inbox
+    (stamped [at], the barrier it was staged at), and must be cheap when
+    the inbox is empty; it runs inside [m]'s scope at the start of [m]'s
+    next epoch job, and for every machine before {!run_until} returns.
+    Links are staged and drained in registration order. *)

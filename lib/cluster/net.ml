@@ -1,11 +1,12 @@
-(* Typed cross-machine links: machine-local outboxes during an epoch,
-   drained into destination wheels at the barrier by the coordinating
-   domain. See net.mli for the causality argument. *)
+(* Typed cross-machine links: per-(source, destination) outboxes during
+   an epoch, handed to destination inboxes at the barrier, drained by
+   each destination's own next epoch job. See net.mli for the causality
+   argument. *)
 
 module Sim = Vessel_engine.Sim
 module Obs = Vessel_obs
 
-type 'a msg = { dst : int; sent_at : int; payload : 'a }
+type 'a msg = { sent_at : int; payload : 'a }
 
 type 'a t = {
   cluster : Cluster.t;
@@ -16,69 +17,98 @@ type 'a t = {
   flow_of : ('a -> int) option;
   (* Per-destination receive handlers, installed at setup time. *)
   recv : (now:int -> src:int -> 'a -> unit) option array;
-  (* Per-source outboxes, newest first. During a parallel epoch each
-     cell is touched only by its own machine's domain; the barrier's
-     Pool.map join gives the coordinator happens-before on all of them. *)
-  outbox : 'a msg list array;
-  (* Per-source send counters (same single-writer discipline). *)
+  (* outbox.(src).(dst): the running epoch's sends, newest first;
+     sending.(src) is set once row src holds any. Only src's job writes
+     row src during an epoch. *)
+  outbox : 'a msg list array array;
+  sending : bool array;
+  (* inbox.(dst).(src): the last epoch's sends, handed over at the
+     barrier (the Pool.map join orders every job before it) and emptied
+     by dst's next job or the final drain of run_until; inbound.(dst) is
+     set while row dst holds any. Only the barrier and dst touch row
+     dst, never at the same time. *)
+  inbox : 'a msg list array array;
+  inbound : bool array;
+  (* n_sent.(src) / n_delivered.(dst): one writer per cell. *)
   n_sent : int array;
-  mutable n_delivered : int;
+  n_delivered : int array;
 }
 
 let latency t = t.lat
 let sent t = Array.fold_left ( + ) 0 t.n_sent
-let delivered t = t.n_delivered
+let delivered t = Array.fold_left ( + ) 0 t.n_delivered
 
-let deliver t ~until src m =
+(* Empty senders and receivers cost one flag test each, so an idle
+   link adds almost nothing to the barrier or to an epoch job. *)
+let stage t =
+  let n = Array.length t.outbox in
+  for src = 0 to n - 1 do
+    if t.sending.(src) then begin
+      t.sending.(src) <- false;
+      let row = t.outbox.(src) in
+      for dst = 0 to n - 1 do
+        match row.(dst) with
+        | [] -> ()
+        | msgs ->
+            row.(dst) <- [];
+            t.inbox.(dst).(src) <- msgs;
+            t.inbound.(dst) <- true
+      done
+    end
+  done
+
+let deliver t ~at ~sim ~recv ~src m =
   let arrival = m.sent_at + t.lat in
-  t.n_delivered <- t.n_delivered + 1;
-  let recv =
-    match t.recv.(m.dst) with
-    | Some f -> f
-    | None -> invalid_arg "Net: message for a machine with no receiver"
-  in
-  (* The delivery probe lands in the DESTINATION machine's unit (its
+  (* The delivery probe lands in the destination machine's unit (its
      checker sees it, its trace shows it) stamped at the barrier — the
-     moment the message becomes visible to that machine. The probe gate
-     must be read INSIDE the scope: the flush runs on the coordinating
-     domain outside any machine scope, where the global flag only
-     reflects whether some OTHER domain happens to be inside a scope —
-     gating on it here would make emission depend on -j. *)
-  Cluster.scoped t.cluster m.dst (fun () ->
-      if !Obs.Probe.on then begin
-        Obs.Probe.instant ~ts:until ~track:Obs.Track.Engine
-          ~name:Obs.Tag.cluster_deliver
-          ~args:
-            [
-              ("link", Obs.Event.Str t.name);
-              ("src", Obs.Event.Int src);
-              ("sent", Obs.Event.Int m.sent_at);
-              ("arrival", Obs.Event.Int arrival);
-            ]
-          ();
-        match t.flow_of with
-        | Some f ->
-            let id = f m.payload in
-            if id > 0 then
-              Obs.Probe.flow ~ts:until ~track:Obs.Track.Engine
-                ~name:Obs.Tag.req_flow ~id ~dir:Obs.Event.Flow_step
-        | None -> ()
-      end);
+     moment the message became visible to that machine. The drain runs
+     inside that machine's scope, so the probe gate read here is its
+     own. *)
+  if !Obs.Probe.on then begin
+    Obs.Probe.instant ~ts:at ~track:Obs.Track.Engine
+      ~name:Obs.Tag.cluster_deliver
+      ~args:
+        [
+          ("link", Obs.Event.Str t.name);
+          ("src", Obs.Event.Int src);
+          ("sent", Obs.Event.Int m.sent_at);
+          ("arrival", Obs.Event.Int arrival);
+        ]
+      ();
+    match t.flow_of with
+    | Some f ->
+        let id = f m.payload in
+        if id > 0 then
+          Obs.Probe.flow ~ts:at ~track:Obs.Track.Engine ~name:Obs.Tag.req_flow
+            ~id ~dir:Obs.Event.Flow_step
+    | None -> ()
+  end;
   let payload = m.payload in
   ignore
-    (Sim.schedule
-       (Cluster.sim t.cluster m.dst)
-       ~at:arrival
-       (fun sim -> recv ~now:(Sim.now sim) ~src payload))
+    (Sim.schedule sim ~at:arrival (fun sim ->
+         recv ~now:(Sim.now sim) ~src payload))
 
-let flush t ~until =
-  for src = 0 to Array.length t.outbox - 1 do
-    match t.outbox.(src) with
-    | [] -> ()
-    | msgs ->
-        t.outbox.(src) <- [];
-        List.iter (deliver t ~until src) (List.rev msgs)
-  done
+(* Source order, then send order: the per-destination subsequence of a
+   serial flush over all senders. *)
+let drain t dst ~at =
+  if t.inbound.(dst) then begin
+    t.inbound.(dst) <- false;
+    let row = t.inbox.(dst) in
+    for src = 0 to Array.length row - 1 do
+      match row.(src) with
+      | [] -> ()
+      | msgs ->
+          row.(src) <- [];
+          let recv =
+            match t.recv.(dst) with
+            | Some f -> f
+            | None -> invalid_arg "Net: message for a machine with no receiver"
+          in
+          let sim = Cluster.sim t.cluster dst in
+          t.n_delivered.(dst) <- t.n_delivered.(dst) + List.length msgs;
+          List.iter (deliver t ~at ~sim ~recv ~src) (List.rev msgs)
+    done
+  end
 
 let link ?(name = "link") ?latency ?flow_of cluster =
   let la = Cluster.lookahead cluster in
@@ -96,12 +126,15 @@ let link ?(name = "link") ?latency ?flow_of cluster =
       name;
       flow_of;
       recv = Array.make n None;
-      outbox = Array.make n [];
+      outbox = Array.init n (fun _ -> Array.make n []);
+      sending = Array.make n false;
+      inbox = Array.init n (fun _ -> Array.make n []);
+      inbound = Array.make n false;
       n_sent = Array.make n 0;
-      n_delivered = 0;
+      n_delivered = Array.make n 0;
     }
   in
-  Cluster.register_flusher cluster (fun ~until -> flush t ~until);
+  Cluster.register_link cluster ~stage:(fun () -> stage t) ~drain:(drain t);
   t
 
 let on_receive t ~machine f =
@@ -115,5 +148,7 @@ let send t ~src ~dst payload =
   | None -> invalid_arg "Net.send: destination has no receive handler"
   | Some _ -> ());
   let sent_at = Sim.now (Cluster.sim t.cluster src) in
-  t.outbox.(src) <- { dst; sent_at; payload } :: t.outbox.(src);
+  let row = t.outbox.(src) in
+  row.(dst) <- { sent_at; payload } :: row.(dst);
+  t.sending.(src) <- true;
   t.n_sent.(src) <- t.n_sent.(src) + 1

@@ -2,10 +2,14 @@
 
     A link carries values of one type between the machines of a
     {!Cluster.t} with a fixed latency. Sends during an epoch are queued
-    machine-locally (no cross-domain writes); at the epoch barrier the
-    coordinating domain drains every sender's outbox in machine order and
-    schedules each message into the destination machine's timing wheel at
-    [send_time + latency]. Because [latency >= Cluster.lookahead] is
+    in one outbox per (source, destination) pair, written only by the
+    source machine. At the epoch barrier the coordinating domain only
+    hands each outbox to its destination's inbox; at the start of its
+    next epoch job — inside its own scope, on whichever domain runs it —
+    each destination machine schedules its messages into its own timing
+    wheel at [send_time + latency], in link-creation order, then source
+    machine order, then send order. {!Cluster.run_until} drains once
+    more before it returns. Because [latency >= Cluster.lookahead] is
     enforced at link creation, the arrival is always strictly after the
     barrier — the conservative-sync contract that makes parallel epochs
     byte-identical to sequential ones. *)
@@ -39,7 +43,10 @@ val send : 'a t -> src:int -> dst:int -> 'a -> unit
     [dst] has no receive handler installed. *)
 
 val sent : 'a t -> int
-(** Messages sent so far (sum over senders; coherent at barriers). *)
+(** Messages sent so far (sum over senders; coherent between
+    {!Cluster.run_until} calls). *)
 
 val delivered : 'a t -> int
-(** Messages flushed into destination wheels so far. *)
+(** Messages scheduled into destination wheels so far (sum of
+    per-destination counts). Equals {!sent} whenever
+    {!Cluster.run_until} returns, for messages sent inside epochs. *)

@@ -26,49 +26,76 @@ let create ?(line = 64) ?(assoc = 16) ?(capacity = 2 * 1024 * 1024) () =
     misses = 0;
   }
 
+(* Touch one line of set [set] at time [tick], in one pass over the
+   set and without allocating: a way holding [tag] is a hit (its stamp
+   refreshed); otherwise the first invalid way, else the least recently
+   used one (first minimum stamp), takes the line. True on a hit. *)
+let[@inline] touch t ~set ~tag ~tick =
+  let tags = t.tags and stamps = t.stamps in
+  let base = set * t.assoc in
+  let stop = base + t.assoc in
+  let i = ref base and hit = ref (-1) and inv = ref (-1) and lru = ref base in
+  while !i < stop do
+    let tg = Array.unsafe_get tags !i in
+    if tg = tag then begin
+      hit := !i;
+      i := stop
+    end
+    else begin
+      if tg < 0 then (if !inv < 0 then inv := !i)
+      else if Array.unsafe_get stamps !i < Array.unsafe_get stamps !lru then
+        lru := !i;
+      incr i
+    end
+  done;
+  if !hit >= 0 then begin
+    Array.unsafe_set stamps !hit tick;
+    true
+  end
+  else begin
+    let v = if !inv >= 0 then !inv else !lru in
+    Array.unsafe_set tags v tag;
+    Array.unsafe_set stamps v tick;
+    false
+  end
+
 let access t addr =
   if addr < 0 then invalid_arg "Cache.access: negative address";
   t.accesses <- t.accesses + 1;
   t.tick <- t.tick + 1;
   let block = addr / t.line in
-  let set = block mod t.nsets in
-  let tag = block / t.nsets in
-  let base = set * t.assoc in
-  let rec find i = if i = t.assoc then None
-    else if t.tags.(base + i) = tag then Some i
-    else find (i + 1)
-  in
-  match find 0 with
-  | Some i ->
-      t.stamps.(base + i) <- t.tick;
-      `Hit
-  | None ->
-      t.misses <- t.misses + 1;
-      (* Victim: an invalid way if any, else the LRU way. *)
-      let victim = ref 0 in
-      (try
-         for i = 0 to t.assoc - 1 do
-           if t.tags.(base + i) = -1 then begin
-             victim := i;
-             raise Exit
-           end;
-           if t.stamps.(base + i) < t.stamps.(base + !victim) then victim := i
-         done
-       with Exit -> ());
-      t.tags.(base + !victim) <- tag;
-      t.stamps.(base + !victim) <- t.tick;
-      `Miss
+  if touch t ~set:(block mod t.nsets) ~tag:(block / t.nsets) ~tick:t.tick then
+    `Hit
+  else begin
+    t.misses <- t.misses + 1;
+    `Miss
+  end
 
+(* Consecutive lines walk the sets in order, so the set index steps by
+   one and the tag bumps when it wraps: two divisions per run, not three
+   per line, and no power-of-two sizes assumed. *)
 let access_run t ?(word_accesses = 1) ~addr ~len () =
   if len > 0 then begin
+    if addr < 0 then invalid_arg "Cache.access_run: negative address";
     let first = addr / t.line and last = (addr + len - 1) / t.line in
-    for b = first to last do
-      ignore (access t (b * t.line));
-      if word_accesses > 1 then begin
-        t.accesses <- t.accesses + (word_accesses - 1);
-        t.tick <- t.tick + (word_accesses - 1)
+    let lines = last - first + 1 in
+    let extra = if word_accesses > 1 then word_accesses - 1 else 0 in
+    let nsets = t.nsets in
+    let set = ref (first mod nsets) and tag = ref (first / nsets) in
+    let tick = ref t.tick and misses = ref 0 in
+    for _ = 1 to lines do
+      incr tick;
+      if not (touch t ~set:!set ~tag:!tag ~tick:!tick) then incr misses;
+      tick := !tick + extra;
+      incr set;
+      if !set = nsets then begin
+        set := 0;
+        incr tag
       end
-    done
+    done;
+    t.tick <- !tick;
+    t.accesses <- t.accesses + (lines * (1 + extra));
+    t.misses <- t.misses + !misses
   end
 
 let flush t =

@@ -21,7 +21,10 @@ val access_run : t -> ?word_accesses:int -> addr:int -> len:int -> unit -> unit
 (** Touch every line overlapping [addr, addr+len). [word_accesses] is how
     many word-granularity accesses each line touch stands for (default 1):
     the first can miss, the rest are counted as hits — the right model for
-    a copy loop that reads/writes every word of a freshly fetched line. *)
+    a copy loop that reads/writes every word of a freshly fetched line.
+    Equivalent to {!access} on each line in address order, in one pass
+    per line without allocating. [Invalid_argument] if [addr < 0] and
+    [len > 0]. *)
 
 val flush : t -> unit
 (** Invalidate everything (e.g. modeling a full working-set wipe). *)

@@ -7,7 +7,13 @@ type t = {
   cost : Cost_model.t;
   cores : Core.t array;
   membw : Membw.t;
-  cache : Cache.t;
+  (* The LLC model, built on first use: only footprint-carrying memory
+     work reads it, and a 2 MiB model is 512 KB of arrays per machine.
+     A plain field, not a Lazy.t, whose force raises if two domains
+     ever race on it: the field is touched only from the machine's own
+     events, which run on one domain at a time, and the pool hand-off
+     between epochs orders the write before any later reader. *)
+  mutable cache : Cache.t option;
   uintr : Uintr.t;
   ipi : Ipi.t;
   inject : Inject.t;
@@ -19,7 +25,6 @@ let create ?(cost = Cost_model.default) ?membw ?cache ~cores:n sim =
   let root = Sim.rng sim in
   let cores = Array.init n (fun id -> Core.create ~id ~rng:(Rng.split root)) in
   let membw = match membw with Some m -> m | None -> Membw.create () in
-  let cache = match cache with Some c -> c | None -> Cache.create () in
   let inject = Inject.create () in
   (* The real delivery: probe, then hand the receiver to every installed
      dispatch routine. Delayed/retried injected notifications re-enter
@@ -83,7 +88,14 @@ let cores t = t.cores
 let core t i = t.cores.(i)
 let ncores t = Array.length t.cores
 let membw t = t.membw
-let cache t = t.cache
+let cache t =
+  match t.cache with
+  | Some c -> c
+  | None ->
+      let c = Cache.create () in
+      t.cache <- Some c;
+      c
+
 let uintr t = t.uintr
 let ipi t = t.ipi
 let inject t = t.inject

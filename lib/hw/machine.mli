@@ -22,7 +22,12 @@ val cores : t -> Core.t array
 val core : t -> int -> Core.t
 val ncores : t -> int
 val membw : t -> Membw.t
+
 val cache : t -> Cache.t
+(** The shared LLC model: the one given to {!create}, or a default
+    {!Cache.create} built on the first call. Call it only from the
+    machine's own events (or while nothing runs it). *)
+
 val uintr : t -> Uintr.t
 val ipi : t -> Ipi.t
 

@@ -60,6 +60,131 @@ let test_send_needs_receiver () =
     (Invalid_argument "Net.send: destination has no receive handler")
     (fun () -> Net.send link ~src:0 ~dst:1 ())
 
+(* Delivery order: every destination's receive sequence must equal a
+   serial barrier-flush reference — at each barrier, links in creation
+   order, senders in machine order, sends in send order, each message
+   scheduled into its destination at send + latency (ties in schedule
+   order) — at any domain count, with Net.delivered = Net.sent whenever
+   run_until returns. *)
+
+let order_la = 1_000
+let order_lats = [| 1_000; 2_300 |]
+let order_send_end = 6_000
+
+(* One send spec: at [at] on [src], [count] messages over link [lk] to
+   [dst], back to back at the same instant. *)
+type order_send = { src : int; at : int; lk : int; dst : int; count : int }
+
+let order_case_gen =
+  let open QCheck.Gen in
+  let* n = int_range 2 6 in
+  let spec src =
+    let* at = map (fun k -> k * 250) (int_bound (order_send_end / 250)) in
+    let* lk = int_bound 1 in
+    let* dst = int_bound (n - 1) in
+    let* count = int_range 1 3 in
+    return { src; at; lk; dst; count }
+  in
+  let* sends =
+    flatten_l
+      (List.init n (fun src -> list_size (int_range 1 6) (spec src)))
+  in
+  let* cut = int_range 1 (order_send_end - 1) in
+  return (n, List.concat sends, cut)
+
+let order_print (n, sends, cut) =
+  Printf.sprintf "machines=%d cut=%d sends=[%s]" n cut
+    (String.concat "; "
+       (List.map
+          (fun s ->
+            Printf.sprintf "%d@%d l%d ->%d x%d" s.src s.at s.lk s.dst s.count)
+          sends))
+
+let order_horizons cut = [ cut; order_send_end; 3 * order_send_end ]
+
+(* Payload = global message index: spec order, then position in burst. *)
+let order_messages sends =
+  let next = ref 0 in
+  List.concat_map
+    (fun s ->
+      List.init s.count (fun _ ->
+          let id = !next in
+          incr next;
+          (s, id)))
+    sends
+
+(* Reference: per destination, (time, src, payload) in receive order. *)
+let order_reference (n, sends, cut) =
+  let barriers =
+    (* Epoch ends, in order, as run_until produces them per horizon. *)
+    let b = ref 0 and acc = ref [] in
+    List.iter
+      (fun h ->
+        while !b < h do
+          b := min (!b + order_la) h;
+          acc := !b :: !acc
+        done)
+      (order_horizons cut);
+    Array.of_list (List.rev !acc)
+  in
+  let epoch_of at =
+    let rec go i = if barriers.(i) >= at then i else go (i + 1) in
+    go 0
+  in
+  let msgs = order_messages sends in
+  (* A sender executes its sends in (time, schedule order). *)
+  let send_seq =
+    List.stable_sort (fun ((a : order_send), _) (b, _) -> compare a.at b.at) msgs
+    |> List.mapi (fun seq (s, id) -> (s, id, seq))
+  in
+  let flush_key (s, _, seq) = (epoch_of s.at, s.lk, s.src, seq) in
+  let flushed =
+    List.stable_sort (fun a b -> compare (flush_key a) (flush_key b)) send_seq
+  in
+  Array.init n (fun dst ->
+      List.filter (fun (s, _, _) -> s.dst = dst) flushed
+      |> List.map (fun (s, id, _) -> (s.at + order_lats.(s.lk), s.src, id))
+      |> List.stable_sort (fun (a, _, _) (b, _, _) -> compare a b))
+
+let order_run ~domains (n, sends, cut) =
+  let c = Cluster.create ~seed:7 ~machines:n ~lookahead:order_la () in
+  let links =
+    Array.mapi
+      (fun i latency -> Net.link ~name:(Printf.sprintf "l%d" i) ~latency c)
+      order_lats
+  in
+  let got = Array.make n [] in
+  Array.iter
+    (fun link ->
+      for m = 0 to n - 1 do
+        Net.on_receive link ~machine:m (fun ~now ~src id ->
+            got.(m) <- (now, src, id) :: got.(m))
+      done)
+    links;
+  List.iter
+    (fun ((s : order_send), id) ->
+      ignore
+        (Sim.schedule (Cluster.sim c s.src) ~at:s.at (fun _ ->
+             Net.send links.(s.lk) ~src:s.src ~dst:s.dst id)))
+    (order_messages sends);
+  let balanced =
+    List.for_all
+      (fun h ->
+        Cluster.run_until ~domains c h;
+        Array.for_all (fun l -> Net.delivered l = Net.sent l) links)
+      (order_horizons cut)
+  in
+  (balanced, Array.map List.rev got)
+
+let delivery_order_property =
+  QCheck.Test.make ~name:"receive order == serial flush, any -j" ~count:40
+    (QCheck.make ~print:order_print order_case_gen)
+    (fun case ->
+      let reference = order_reference case in
+      let ok1, got1 = order_run ~domains:1 case in
+      let ok4, got4 = order_run ~domains:4 case in
+      ok1 && ok4 && got1 = reference && got4 = reference)
+
 (* ------------------------------------------------------------------ *)
 (* Differential: a 1-machine cluster must reproduce a plain single-Sim
    run exactly — the lockstep epochs are pure bookkeeping. *)
@@ -361,6 +486,7 @@ let suite =
         Alcotest.test_case "delivery" `Quick test_net_delivery;
         Alcotest.test_case "send needs receiver" `Quick
           test_send_needs_receiver;
+        QCheck_alcotest.to_alcotest delivery_order_property;
       ] );
     ( "cluster.differential",
       [

@@ -510,6 +510,150 @@ let test_cache_validation () =
     (try ignore (Cache.create ~line:64 ~assoc:16 ~capacity:1000 ()); false
      with Invalid_argument _ -> true)
 
+(* Differential: the single-pass Cache kernel against the original
+   per-line model, kept here verbatim as the reference. *)
+
+module Ref_cache = struct
+  type t = {
+    line : int;
+    assoc : int;
+    nsets : int;
+    tags : int array; (* nsets * assoc, -1 = invalid *)
+    stamps : int array; (* LRU stamps parallel to tags *)
+    mutable tick : int;
+    mutable accesses : int;
+    mutable misses : int;
+  }
+
+  let create ~line ~assoc ~capacity =
+    let nsets = capacity / (line * assoc) in
+    {
+      line;
+      assoc;
+      nsets;
+      tags = Array.make (nsets * assoc) (-1);
+      stamps = Array.make (nsets * assoc) 0;
+      tick = 0;
+      accesses = 0;
+      misses = 0;
+    }
+
+  let access t addr =
+    if addr < 0 then invalid_arg "Cache.access: negative address";
+    t.accesses <- t.accesses + 1;
+    t.tick <- t.tick + 1;
+    let block = addr / t.line in
+    let set = block mod t.nsets in
+    let tag = block / t.nsets in
+    let base = set * t.assoc in
+    let rec find i = if i = t.assoc then None
+      else if t.tags.(base + i) = tag then Some i
+      else find (i + 1)
+    in
+    match find 0 with
+    | Some i ->
+        t.stamps.(base + i) <- t.tick;
+        `Hit
+    | None ->
+        t.misses <- t.misses + 1;
+        (* Victim: an invalid way if any, else the LRU way. *)
+        let victim = ref 0 in
+        (try
+           for i = 0 to t.assoc - 1 do
+             if t.tags.(base + i) = -1 then begin
+               victim := i;
+               raise Exit
+             end;
+             if t.stamps.(base + i) < t.stamps.(base + !victim) then victim := i
+           done
+         with Exit -> ());
+        t.tags.(base + !victim) <- tag;
+        t.stamps.(base + !victim) <- t.tick;
+        `Miss
+
+  let access_run t ?(word_accesses = 1) ~addr ~len () =
+    if len > 0 then begin
+      let first = addr / t.line and last = (addr + len - 1) / t.line in
+      for b = first to last do
+        ignore (access t (b * t.line));
+        if word_accesses > 1 then begin
+          t.accesses <- t.accesses + (word_accesses - 1);
+          t.tick <- t.tick + (word_accesses - 1)
+        end
+      done
+    end
+
+  let flush t =
+    Array.fill t.tags 0 (Array.length t.tags) (-1);
+    Array.fill t.stamps 0 (Array.length t.stamps) 0
+end
+
+type cache_op =
+  | C_access of int
+  | C_run of int * int * int (* addr, len, word_accesses *)
+  | C_flush
+
+let cache_op_print = function
+  | C_access a -> Printf.sprintf "access %d" a
+  | C_run (a, l, w) -> Printf.sprintf "run %d+%d x%d" a l w
+  | C_flush -> "flush"
+
+(* Geometries: (line, assoc, sets) with non-power-of-two set counts and
+   line sizes; addresses span a few times the capacity so runs wrap the
+   set index and conflict. *)
+let cache_case_gen =
+  let open QCheck.Gen in
+  let* line = oneofl [ 16; 48; 64 ] in
+  let* assoc = oneofl [ 1; 2; 3; 4 ] in
+  let* sets = oneofl [ 1; 3; 5; 7; 8 ] in
+  let span = 4 * line * assoc * sets in
+  let op =
+    frequency
+      [
+        (4, map (fun a -> C_access a) (int_bound span));
+        ( 6,
+          map3
+            (fun a l w -> C_run (a, l, w))
+            (int_bound span) (int_bound (2 * line * sets)) (int_range 0 4) );
+        (1, return C_flush);
+      ]
+  in
+  let* ops = list_size (int_range 1 40) op in
+  return ((line, assoc, sets), ops)
+
+let prop_cache_kernel_differential =
+  QCheck.Test.make ~name:"cache: single-pass kernel == reference model"
+    ~count:300
+    (QCheck.make
+       ~print:(fun ((line, assoc, sets), ops) ->
+         Printf.sprintf "line=%d assoc=%d sets=%d: %s" line assoc sets
+           (String.concat "; " (List.map cache_op_print ops)))
+       cache_case_gen)
+    (fun ((line, assoc, sets), ops) ->
+      let capacity = line * assoc * sets in
+      let c = Cache.create ~line ~assoc ~capacity () in
+      let r = Ref_cache.create ~line ~assoc ~capacity in
+      List.for_all
+        (fun op ->
+          let same_result =
+            match op with
+            | C_access a -> Cache.access c a = Ref_cache.access r a
+            | C_run (addr, len, word_accesses) ->
+                (* Per-line outcome: a run's miss delta must match. *)
+                let m0 = Cache.misses c and r0 = r.Ref_cache.misses in
+                Cache.access_run c ~word_accesses ~addr ~len ();
+                Ref_cache.access_run r ~word_accesses ~addr ~len ();
+                Cache.misses c - m0 = r.Ref_cache.misses - r0
+            | C_flush ->
+                Cache.flush c;
+                Ref_cache.flush r;
+                true
+          in
+          same_result
+          && Cache.accesses c = r.Ref_cache.accesses
+          && Cache.misses c = r.Ref_cache.misses)
+        ops)
+
 (* ------------------------------------------------------------------ *)
 (* Membw *)
 
@@ -662,6 +806,7 @@ let suite =
           test_cache_working_sets;
         Alcotest.test_case "flush/counters" `Quick test_cache_flush_and_counters;
         Alcotest.test_case "validation" `Quick test_cache_validation;
+        QCheck_alcotest.to_alcotest prop_cache_kernel_differential;
       ] );
     ( "hw.membw",
       [
